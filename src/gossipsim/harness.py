@@ -413,7 +413,7 @@ class VerifyReport:
 
 def _timed(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
     return CheckResult(name=name, passed=passed, detail=detail,
-                       elapsed=time.time() - t0)
+                       elapsed=time.perf_counter() - t0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -431,13 +431,13 @@ def _coupled_completions(N: int, p: float, trials: int, seed: int,
         config = ProtocolConfig(algorithm=alg, N=N, p=p)
         T = np.empty(trials, dtype=np.int64)
         caps = np.zeros(trials, dtype=bool)
-        t0 = time.time()
+        t0 = time.perf_counter()
         for ti in range(trials):
             result = run(config, RngStream(seed=seed, stream_id=ti))
             T[ti] = result.completion_time
             caps[ti] = result.cap_hit
         out[alg] = {"T": T, "cap": caps,
-                    "elapsed": np.float64(time.time() - t0)}
+                    "elapsed": np.float64(time.perf_counter() - t0)}
     return out
 
 
@@ -459,7 +459,7 @@ def _band_check(name: str, values: np.ndarray, c_theory: float, N: int,
 
 def check_naive_constant() -> CheckResult:
     """Mean naive time at N=2^20, p=0.5 inside [0.8, 1.2] of theory."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = _acceptance_ensemble()
     data = ens[Algorithm.NAIVE]
     T = data["T"][:_ACCEPT_HEAD].astype(np.float64)
@@ -473,7 +473,7 @@ def check_naive_constant() -> CheckResult:
 
 
 def check_cyclic_constant() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = _acceptance_ensemble()
     T = ens[Algorithm.CYCLIC]["T"][:_ACCEPT_HEAD].astype(np.float64)
     return _band_check("cyclic completion constant", T,
@@ -482,7 +482,7 @@ def check_cyclic_constant() -> CheckResult:
 
 
 def check_cyclic_beats_naive_trials() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = _acceptance_ensemble()
     naive_mean = ens[Algorithm.NAIVE]["T"][:_ACCEPT_HEAD].mean()
     wins = int((ens[Algorithm.CYCLIC]["T"][:_ACCEPT_HEAD] < naive_mean).sum())
@@ -492,7 +492,7 @@ def check_cyclic_beats_naive_trials() -> CheckResult:
 
 
 def check_improved_constant() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = _acceptance_ensemble()
     T = ens[Algorithm.IMPROVED_CYCLIC]["T"][:_ACCEPT_HEAD].astype(np.float64)
     return _band_check("improved-cyclic completion constant", T,
@@ -501,7 +501,7 @@ def check_improved_constant() -> CheckResult:
 
 
 def check_improved_beats_cyclic_trials() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = _acceptance_ensemble()
     cyclic_mean = ens[Algorithm.CYCLIC]["T"][:_ACCEPT_HEAD].mean()
     wins = int((ens[Algorithm.IMPROVED_CYCLIC]["T"][:_ACCEPT_HEAD]
@@ -514,7 +514,7 @@ def check_improved_beats_cyclic_trials() -> CheckResult:
 
 def check_lower_bound_envelope() -> CheckResult:
     """No protocol beats the branching lower bound K steps early."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = _acceptance_ensemble()
     pooled = np.concatenate([ens[a]["T"] for a in ens])
     base = math.log(_ACCEPT_N) / math.log1p(_ACCEPT_P)
@@ -532,7 +532,7 @@ def check_lower_bound_envelope() -> CheckResult:
 
 
 def _ladder_check(algorithm: Algorithm, trials: int = 100) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = convergence_sweep(algorithm, _ACCEPT_P,
                              [2 ** 14, 2 ** 17, 2 ** 20], trials)
     ratios = [r.ratio for r in rows]
@@ -599,7 +599,7 @@ def _empirical_law(algorithm: Algorithm, N: int, p: float, trials: int,
 
 def check_oracle_law(trials: int = 10 ** 5, tolerance: float = 0.02,
                      seed: int = ACCEPTANCE_SEED) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     exact = theory.exact_oracle_law(8, 0.5)
     empirical = _empirical_law(Algorithm.ORACLE, 8, 0.5, trials, seed)
     tv = exact.total_variation(empirical)
@@ -609,7 +609,7 @@ def check_oracle_law(trials: int = 10 ** 5, tolerance: float = 0.02,
 
 def check_naive_law(trials: int = 10 ** 5, tolerance: float = 0.02,
                     seed: int = ACCEPTANCE_SEED) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     details = []
     for N in (2, 8):
@@ -626,7 +626,7 @@ def check_naive_law(trials: int = 10 ** 5, tolerance: float = 0.02,
 def check_active_concentration(samples: int = 10 ** 3,
                                seed: int = ACCEPTANCE_SEED) -> CheckResult:
     """Active count concentrates within N^(2/3) of pN."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     N, p = 10 ** 6, 0.5
     spread = N ** (2.0 / 3.0)
     outliers = 0
@@ -643,7 +643,7 @@ def check_active_concentration(samples: int = 10 ** 3,
 
 def check_constants_ordering() -> CheckResult:
     """f(p) < 0 and the constants chain on the 99-point p grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for i in range(1, 100):
         p = i / 100.0
@@ -661,8 +661,16 @@ def check_constants_ordering() -> CheckResult:
 def check_domination(trials: int = 500, N: int = 2 ** 16,
                      p_values: Tuple[float, ...] = (0.3, 0.5, 0.8),
                      seed: int = ACCEPTANCE_SEED) -> CheckResult:
-    """Oracle completion never exceeds any protocol's on coupled trials."""
-    t0 = time.time()
+    """Count coupled trials on which the oracle finishes after a protocol.
+
+    The coupling shares the active set and the warm-up draws, but the
+    oracle draws its own target order, so it beats the protocols in law
+    and not trial by trial: at N = 3, p = 0.5 on RngStream(7, 10) it takes
+    2 steps where the others take 1. The count is pathwise, so its default
+    N = 2^16 is one where the oracle leads by several steps, and a single
+    trial on which it finishes later points at a fault.
+    """
+    t0 = time.perf_counter()
     algorithms = (Algorithm.ORACLE, Algorithm.NAIVE, Algorithm.CYCLIC,
                   Algorithm.IMPROVED_CYCLIC)
     violations = 0
@@ -674,14 +682,15 @@ def check_domination(trials: int = 500, N: int = 2 ** 16,
             diff = ens[alg]["T"] - oracle_T
             violations += int((diff < 0).sum())
             checked += trials
-    return _timed("oracle domination on coupled trials", violations == 0,
-                  f"{violations} violations over {checked} comparisons "
-                  f"at N={N}, p={list(p_values)}", t0)
+    return _timed("oracle not later than any protocol, trial by trial",
+                  violations == 0,
+                  f"oracle later in {violations} of {checked} coupled "
+                  f"comparisons at N={N}, p={list(p_values)}", t0)
 
 
 def check_determinism(tmp_dir: Optional[str] = None) -> CheckResult:
     """Identical specs give byte-identical files, serial or parallel."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     base = tempfile.mkdtemp(dir=tmp_dir, prefix="gossipsim-verify-")
     try:
         blobs = []

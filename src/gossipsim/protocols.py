@@ -222,20 +222,14 @@ def _segment_census(active: np.ndarray, informed: np.ndarray, ell: int,
                     p: float):
     """Per-segment counts and goodness for the improved protocol."""
     N = len(active)
-    S = (N + ell - 1) // ell
-    seg_of = np.arange(N) // ell
-    seg_start = np.arange(S) * ell
+    seg_start = np.arange(0, N, ell)
     seg_len = np.minimum(ell, N - seg_start)
-    seeded = np.bincount(seg_of, weights=informed.astype(np.float64),
-                         minlength=S).astype(np.int64)
-    act = np.bincount(seg_of, weights=active.astype(np.float64),
-                      minlength=S).astype(np.int64)
-    threshold = np.ceil(seg_len * p / 2.0).astype(np.int64)
+    seeded = np.add.reduceat(informed, seg_start, dtype=np.int64)
+    act = np.add.reduceat(active, seg_start, dtype=np.int64)
     # after the intra-segment broadcast every active node in a seeded segment
     # is informed, so the census is (seeded) and (enough actives)
-    post_informed = np.where(seeded >= 1, act, seeded)
-    good = (seeded >= 1) & (post_informed >= threshold)
-    return S, seg_start, seg_len, seeded, act, good
+    good = (seeded >= 1) & (act >= np.ceil(seg_len * (p / 2.0)))
+    return len(seg_start), seg_start, seg_len, seeded, act, good
 
 
 def segment_view(state: NetworkState, segment_length: int,
@@ -276,100 +270,98 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
           broadcast finishes, covering min(size, remaining) consecutive
           positions per step; completing a segment recruits that segment's
           active nodes. A wave that completes a segment already claimed by
-          another wave merges into the claimant's live root (ties: earliest
-          cover-start, then larger wave, then lower origin). Bad segments
+          another wave merges into the claimant's live root. Bad segments
           never transmit on their own.
+
+    A step is a few array operations over all waves, not a loop over them:
+    the moving waves' blocks are marked as one union of intervals, and the
+    waves that finish a segment merge by pointer doubling.
     """
-    N = len(active)
     S, seg_start, seg_len, seeded, act, good = _segment_census(
         active, informed, ell, p)
-
-    au = np.flatnonzero(active & ~informed)
-    cover = np.full(len(au), _UNSET, dtype=np.int64)
-    if len(au) == 0:
-        return au, cover
-
-    # 2a schedule: rank positions within each segment among non-informed slots
-    unpos = np.flatnonzero(~informed)
-    useg = unpos // ell
-    counts = np.bincount(useg, minlength=S)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(len(unpos)) - starts[useg]
-    g0 = seeded[useg]
-    rounds = np.where(g0 >= 1, rank // np.maximum(g0, 1) + 1, _UNSET)
-    cover = rounds[active[unpos]].astype(np.int64)
-    broadcast_len = np.where(
-        seeded >= 1,
-        (seg_len - seeded + np.maximum(seeded, 1) - 1) // np.maximum(seeded, 1),
-        0,
-    )
-
-    remaining = int(np.count_nonzero(cover == _UNSET))
-    assigned = cover[cover != _UNSET]
-    # waves may preempt scheduled local deliveries, so they must keep
-    # sweeping until every pending local slot has passed
-    pending_max = int(assigned.max()) if len(assigned) else 0
-    if S == 1:
-        return au, cover
-
-    origin = np.flatnonzero(good)
+    au = (active > informed).nonzero()[0]  # active and not informed
+    # 2a schedule: a position's rank among its segment's non-informed slots
+    # is its rank among all non-informed positions minus the non-informed
+    # positions before the segment
+    seg = au // ell
+    g0 = seeded[seg]
+    rank = (au - informed.nonzero()[0].searchsorted(au)
+            - (seg_start - np.cumsum(seeded) + seeded)[seg])
+    cover = np.where(g0 > 0, rank // np.maximum(g0, 1) + 1, _UNSET)
+    del seg, g0, rank
+    origin = good.nonzero()[0]
     W = len(origin)
-    if W == 0:
+    if S == 1 or W == 0:
         return au, cover  # nothing can reach the rest
 
-    front = (origin + 1) % S
-    size = act[origin].copy()
-    progress = np.zeros(W, dtype=np.int64)
-    cover_start = broadcast_len[origin].copy()  # covering begins next step
-    alive = np.ones(W, dtype=bool)
-    merged_into = np.arange(W)
-    claimed_by = np.full(S, -1, dtype=np.int64)
+    seg_end = seg_start + seg_len
+    next_seg = np.arange(1, S + 1)
+    next_seg[-1] = 0
+    front = next_seg[origin]
+    head = seg_start[front]  # next position each wave covers
+    size = act[origin]
+    cover_start = (seg_len[origin] - 1) // seeded[origin]  # broadcast length
+    all_moving = int(cover_start.max())
+    claimed_by = np.full(S, -1)  # a wave of the tree holding each segment
     claimed_by[origin] = np.arange(W)
+    root_of = np.arange(W)  # live root of every wave, path-compressed
+    live = np.arange(W)
+    slots = len(au) + 1
 
     t = 0
-    while (remaining > 0 or t < pending_max) and t < budget:
+    # A step lowers only the offsets above it (waves may preempt scheduled
+    # local deliveries), so the sweep runs while some offset lies ahead.
+    # Merges then never form a cycle: for two waves to finish segments held
+    # by each other's trees, the trees' swept trails must span the ring, so
+    # every node was covered before that step.
+    while t < budget and cover.max(initial=0) > t:
         t += 1
-        moving = np.flatnonzero(alive & (cover_start < t))
-        if len(moving) == 0:
-            if not alive.any():
-                break
-            continue  # all waves still broadcasting locally
+        moving = live if t > all_moving else live[cover_start[live] < t]
         f = front[moving]
-        lo = seg_start[f] + progress[moving]
-        hi = np.minimum(lo + size[moving], seg_start[f] + seg_len[f])
-        li = np.searchsorted(au, lo)
-        ri = np.searchsorted(au, hi)
-        for j in np.flatnonzero(ri > li):
-            block = cover[li[j]:ri[j]]
-            # a wave pass preempts local deliveries still pending at t
-            late = block > t
-            if late.any():
-                remaining -= int((block[late] == _UNSET).sum())
-                block[late] = t
-        progress[moving] += size[moving]
-        finished = moving[progress[moving] >= seg_len[f]]
-        if len(finished):
-            ff = front[finished]
-            # per contested segment: earliest cover-start, largest, lowest origin
-            order = np.lexsort((origin[finished], -size[finished],
-                                cover_start[finished], ff))
-            for row in order:
-                w = int(finished[row])
-                s_id = int(ff[row])
-                if claimed_by[s_id] == -1:
-                    claimed_by[s_id] = w
-                    size[w] += act[s_id]
-                    continue
-                root = int(claimed_by[s_id])
-                while not alive[root]:
-                    root = int(merged_into[root])
-                if root != w:
-                    size[root] += size[w]
-                    alive[w] = False
-                    merged_into[w] = root
-            survivors = finished[alive[finished]]
-            front[survivors] = (front[survivors] + 1) % S
-            progress[survivors] = 0
+        lo = head[moving]
+        hi = lo + size[moving]
+        end = seg_end[f]
+        # the blocks [lo, min(hi, end)) as ranges of au indices, merged by
+        # a difference array
+        swept = (np.bincount(au.searchsorted(lo), minlength=slots)
+                 - np.bincount(au.searchsorted(np.minimum(hi, end)),
+                               minlength=slots)).cumsum()[:-1] > 0
+        cover[swept] = np.minimum(cover[swept], t)
+        head[moving] = hi
+        done = hi >= end
+        fin = moving[done]
+        if len(fin) == 0:
+            continue
+        # Live waves have distinct fronts: a wave that finishes a segment
+        # after another took it dies into that wave's tree, never next to
+        # it. So each segment is finished by one wave at a time, and a
+        # finished wave claims a free segment, or points at the live root
+        # of the segment's claimant; it survives if that root is itself,
+        # else it dies into the end of the chain of roots.
+        fs = f[done]
+        owner = claimed_by[fs]
+        free = owner < 0
+        target = np.where(free, fin, root_of[owner])
+        claimed_by[fs] = target
+        root_of[fin] = dest = target
+        for _ in range(len(fin).bit_length() + 1):  # pointer doubling
+            jump = root_of[dest]
+            if (jump == dest).all():
+                break
+            root_of[fin] = dest = jump
+        else:
+            raise RuntimeError("wave merge did not converge")
+        root_of = root_of[root_of]
+        live = live[root_of[live] == live]
+        # every chain's end gains the step-start sizes of the waves ending in
+        # it, and a claim recruits the claimed segment's active nodes
+        gain = size[fin]
+        size[fin] = 0
+        np.add.at(size, dest, gain)
+        size[fin[free]] += act[fs[free]]
+        # survivors go on to the next segment; dead waves never move again
+        front[fin] = next_seg[fs]
+        head[fin] = seg_start[front[fin]]
     return au, cover
 
 

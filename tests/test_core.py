@@ -53,7 +53,7 @@ class TestPhase1Steps:
         assert phase1_steps(2 ** 20, 0.5, slack) == expected
 
     @pytest.mark.parametrize("N,expected", [(2 ** 14, 29), (2 ** 17, 35)])
-    def test_default_slack_ladder(self, N, expected):
+    def test_slack_0_2_ladder(self, N, expected):
         assert phase1_steps(N, 0.5, 0.2) == expected
 
     def test_degenerate_network(self):
