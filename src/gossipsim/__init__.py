@@ -19,7 +19,6 @@ from .protocols import (
     SegmentStatus,
     SegmentView,
     TraceResult,
-    longest_uninformed_run,
     run,
     run_cyclic,
     run_improved_cyclic,
@@ -58,9 +57,9 @@ __all__ = [
     "Algorithm", "ConfigError", "NetworkState", "ProtocolConfig", "RngStream",
     "default_max_steps", "default_phase1_slack", "default_segment_length",
     "informed_count", "is_complete", "phase1_steps", "sample_active",
-    "SegmentStatus", "SegmentView", "TraceResult", "longest_uninformed_run",
-    "run", "run_cyclic", "run_improved_cyclic", "run_naive", "run_oracle",
-    "segment_view", "step_naive",
+    "SegmentStatus", "SegmentView", "TraceResult", "run", "run_cyclic",
+    "run_improved_cyclic", "run_naive", "run_oracle", "segment_view",
+    "step_naive",
     "ExactLaw", "TheoryConstants", "constant", "cyclic_beats_naive",
     "exact_naive_law", "exact_oracle_law", "lower_bound_tail",
     "naive_step_kernel",

@@ -447,6 +447,24 @@ def _acceptance_ensemble() -> Dict[Algorithm, Dict[str, np.ndarray]]:
         (Algorithm.NAIVE, Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC))
 
 
+def check_acceptance_build() -> CheckResult:
+    """Build the shared acceptance ensemble and time it per protocol.
+
+    The completion-constant, win-rate and envelope checks all read this
+    cached ensemble, so its build is charged here and not to whichever of
+    them runs first. Passes when no trial hit the step cap.
+    """
+    t0 = time.perf_counter()
+    ens = _acceptance_ensemble()
+    capped = sum(int(data["cap"].sum()) for data in ens.values())
+    builds = ", ".join(f"{alg.value}={float(data['elapsed']):.1f}s"
+                       for alg, data in ens.items())
+    return _timed("acceptance ensemble build", capped == 0,
+                  f"{_ACCEPT_TRIALS} coupled trials per protocol at "
+                  f"N={_ACCEPT_N}, p={_ACCEPT_P}: {builds}; "
+                  f"capped={capped}", t0)
+
+
 def _band_check(name: str, values: np.ndarray, c_theory: float, N: int,
                 lo: float, hi: float, t0: float,
                 extra: str = "") -> CheckResult:
@@ -715,6 +733,7 @@ def check_determinism(tmp_dir: Optional[str] = None) -> CheckResult:
 def acceptance_checks() -> List[CheckResult]:
     """The full acceptance gauntlet (shared with tests/test_acceptance.py)."""
     return [
+        check_acceptance_build(),
         check_naive_constant(),
         check_cyclic_constant(),
         check_cyclic_beats_naive_trials(),

@@ -39,7 +39,6 @@ __all__ = [
     "run_improved_cyclic",
     "run_oracle",
     "run",
-    "longest_uninformed_run",
     "segment_view",
 ]
 
@@ -146,34 +145,32 @@ def run_naive(config: ProtocolConfig, rng: RngStream) -> TraceResult:
     return _finish(config, n, k >= n, state.clock, tracker, None, trajectory)
 
 
-def _cyclic_phase2(state: NetworkState, n: int, tracker: _ThresholdTracker,
-                   cap: int, trajectory: Optional[List[int]]) -> int:
-    """Deterministic cyclic sweeps from every informed node.
+def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
+    """Cyclic sweeps in closed form; returns (au_positions, cover_offsets).
 
-    A node informed at phase-2 age s (or joining later at age 0) targets
-    (own index + age) mod N each round, walking forward around the ring.
+    A node x informed when phase 2 starts targets x + s at phase-2 step s,
+    and a relay informed at step s repeats its informer's targets from
+    step s + 1 on, so relays add nothing: active uninformed node y is
+    informed at step (y - pred(y)) mod N, pred(y) being its nearest
+    informed predecessor on the ring. Index -1 of the informed positions
+    wraps around the ring for nodes before the first informed one.
     """
-    N = state.node_count
-    ages = np.zeros(N, dtype=np.int64)
-    k = informed_count(state)
-    while k < n and state.clock < cap:
-        senders = np.flatnonzero(state.informed)
-        ages[senders] += 1
-        targets = (senders + ages[senders]) % N
-        hits = state.active[targets] & ~state.informed[targets]
-        state.informed[targets[hits]] = True
-        state.clock += 1
-        k = informed_count(state)
-        tracker.observe(state.clock, k)
-        if trajectory is not None:
-            trajectory.append(k)
-    return k
+    au = (active > informed).nonzero()[0]  # active and not informed
+    sources = informed.nonzero()[0]
+    cover = (au - sources[sources.searchsorted(au) - 1]) % len(active)
+    return au, cover
 
 
-def run_cyclic(config: ProtocolConfig, rng: RngStream) -> TraceResult:
-    """Random push warm-up, then deterministic cyclic sweeps."""
-    if config.algorithm is not Algorithm.CYCLIC:
-        raise ConfigError(f"run_cyclic got algorithm {config.algorithm}")
+def _run_phased(config: ProtocolConfig, rng: RngStream,
+                phase2: Callable[[np.ndarray, np.ndarray, int], tuple],
+                ) -> TraceResult:
+    """Random-push warm-up, then a phase 2 replayed from cover offsets.
+
+    phase2(active, informed, budget) returns (au_positions, cover_offsets):
+    the active uninformed nodes and the phase-2 step at which each becomes
+    informed. Offsets beyond the budget left by the cap are never reached;
+    a capped run replays every step up to the cap.
+    """
     state = sample_active(config.N, config.p, rng)
     gen = rng.protocol_generator()
     n = int(np.count_nonzero(state.active))
@@ -185,10 +182,35 @@ def run_cyclic(config: ProtocolConfig, rng: RngStream) -> TraceResult:
     k = _run_phase1(state, gen, n, tracker, steps=scheduled, cap=cap,
                     trajectory=trajectory)
     phase1_end = state.clock
-    if k < n:
-        k = _cyclic_phase2(state, n, tracker, cap, trajectory)
-    return _finish(config, n, k >= n, state.clock, tracker, phase1_end,
+    complete = k >= n
+    if complete or state.clock >= cap:
+        return _finish(config, n, complete, state.clock, tracker, phase1_end,
+                       trajectory)
+
+    budget = cap - phase1_end
+    au, cover = phase2(state.active, state.informed, budget)
+    covered = cover <= budget
+    complete = bool(covered.all())
+    last = int(cover.max(initial=0)) if complete else budget
+    # the informed count after each phase-2 step
+    running = (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
+               )[1:].tolist()
+    for s, count in enumerate(running, phase1_end + 1):
+        tracker.observe(s, count)
+    if trajectory is not None:
+        trajectory.extend(running)
+    state.informed[au[covered]] = True
+    state.clock = phase1_end + last
+    return _finish(config, n, complete, state.clock, tracker, phase1_end,
                    trajectory)
+
+
+def run_cyclic(config: ProtocolConfig, rng: RngStream) -> TraceResult:
+    """Random push warm-up, then deterministic cyclic sweeps."""
+    if config.algorithm is not Algorithm.CYCLIC:
+        raise ConfigError(f"run_cyclic got algorithm {config.algorithm}")
+    return _run_phased(config, rng, lambda active, informed, budget:
+                       _cyclic_phase2_offsets(active, informed))
 
 
 class SegmentStatus(enum.Enum):
@@ -369,47 +391,10 @@ def run_improved_cyclic(config: ProtocolConfig, rng: RngStream) -> TraceResult:
     """Warm-up, intra-segment broadcast, then coalescing forward waves."""
     if config.algorithm is not Algorithm.IMPROVED_CYCLIC:
         raise ConfigError(f"run_improved_cyclic got algorithm {config.algorithm}")
-    state = sample_active(config.N, config.p, rng)
-    gen = rng.protocol_generator()
-    n = int(np.count_nonzero(state.active))
-    tracker = _ThresholdTracker(config)
-    tracker.observe(0, 1)
-    trajectory: Optional[List[int]] = [1] if config.record_trajectory else None
-    cap = config.step_cap
-    scheduled = phase1_steps(config.N, config.p, config.warmup_slack)
-    k = _run_phase1(state, gen, n, tracker, steps=scheduled, cap=cap,
-                    trajectory=trajectory)
-    phase1_end = state.clock
-    if k >= n:
-        return _finish(config, n, True, state.clock, tracker, phase1_end,
-                       trajectory)
-    if state.clock >= cap:
-        return _finish(config, n, False, state.clock, tracker, phase1_end,
-                       trajectory)
-
-    budget = cap - phase1_end
-    au, cover = _improved_phase2_offsets(
-        state.active, state.informed, config.segment_length, config.p, budget)
-
-    covered = cover <= budget  # analytic 2a offsets can land beyond the cap
-    offsets = np.sort(cover[covered])
-    complete = bool(covered.all())
-    duration = int(offsets[-1]) if complete and len(offsets) else 0
-    last = duration if complete else budget
-    # replay the informed-count trajectory from the cover offsets
-    if len(offsets):
-        counts = np.bincount(np.minimum(offsets, last), minlength=last + 1)
-    else:
-        counts = np.zeros(last + 1, dtype=np.int64)
-    running = k + np.cumsum(counts)
-    for s in range(1, last + 1):
-        tracker.observe(phase1_end + s, int(running[s]))
-        if trajectory is not None:
-            trajectory.append(int(running[s]))
-    state.informed[au[covered]] = True
-    state.clock = phase1_end + last
-    return _finish(config, n, complete, state.clock, tracker, phase1_end,
-                   trajectory)
+    return _run_phased(config, rng, lambda active, informed, budget:
+                       _improved_phase2_offsets(active, informed,
+                                                config.segment_length,
+                                                config.p, budget))
 
 
 def run_oracle(config: ProtocolConfig, rng: RngStream) -> TraceResult:
@@ -430,7 +415,8 @@ def run_oracle(config: ProtocolConfig, rng: RngStream) -> TraceResult:
     trajectory: Optional[List[int]] = [1] if config.record_trajectory else None
     cap = config.step_cap
     N = config.N
-    fresh = gen.permutation(np.arange(1, N)) if N > 1 else np.empty(0, np.int64)
+    fresh = np.arange(1, N)
+    gen.shuffle(fresh)  # in place: the draws of permutation, without a copy
     k, pos = 1, 0
     while k < n and state.clock < cap:
         m = min(k, len(fresh) - pos)
@@ -459,20 +445,3 @@ _RUNNERS: Dict[Algorithm, Callable[[ProtocolConfig, RngStream], TraceResult]] = 
 def run(config: ProtocolConfig, rng: RngStream) -> TraceResult:
     """Dispatch to the configured algorithm's runner."""
     return _RUNNERS[config.algorithm](config, rng)
-
-
-def longest_uninformed_run(state: NetworkState) -> int:
-    """Longest cyclically-contiguous block holding no informed node.
-
-    Inactive nodes count as blockers: a sweep must step through them one
-    round at a time whether or not they can relay.
-    """
-    informed_idx = np.flatnonzero(state.informed)
-    if len(informed_idx) == 0:
-        return state.node_count
-    gaps = np.diff(informed_idx) - 1
-    wrap = state.node_count - informed_idx[-1] + informed_idx[0] - 1
-    longest = int(wrap)
-    if len(gaps):
-        longest = max(longest, int(gaps.max()))
-    return longest

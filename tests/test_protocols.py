@@ -22,9 +22,10 @@ from gossipsim.protocols import (
     SegmentStatus,
     _UNSET,
     _ThresholdTracker,
-    _cyclic_phase2,
+    _cyclic_phase2_offsets,
+    _finish,
     _improved_phase2_offsets,
-    longest_uninformed_run,
+    _run_phase1,
     run,
     run_cyclic,
     run_improved_cyclic,
@@ -132,23 +133,68 @@ class TestRunNaive:
             run_naive(cfg, RngStream(seed=0))
 
 
+def reference_cyclic_phase2(state, n, tracker, cap, trajectory):
+    """Step-by-step cyclic sweeps: a slow reference for the closed form.
+
+    A node informed at phase-2 age s (or joining later at age 0) targets
+    (own index + age) mod N each round, walking forward around the ring.
+    Returns the informed count and, per node, the phase-2 step that
+    informed it (0 if informed before phase 2, -1 if never).
+    """
+    N = state.node_count
+    ages = np.zeros(N, dtype=np.int64)
+    informed_at = np.where(state.informed, 0, -1)
+    k = informed_count(state)
+    step = 0
+    while k < n and state.clock < cap:
+        senders = np.flatnonzero(state.informed)
+        ages[senders] += 1
+        targets = (senders + ages[senders]) % N
+        hits = state.active[targets] & ~state.informed[targets]
+        state.informed[targets[hits]] = True
+        step += 1
+        informed_at[targets[hits]] = step
+        state.clock += 1
+        k = informed_count(state)
+        tracker.observe(state.clock, k)
+        if trajectory is not None:
+            trajectory.append(k)
+    return k, informed_at
+
+
+def reference_run_cyclic(config, rng):
+    """run_cyclic with its phase 2 stepped by reference_cyclic_phase2."""
+    state = sample_active(config.N, config.p, rng)
+    gen = rng.protocol_generator()
+    n = int(np.count_nonzero(state.active))
+    tracker = _ThresholdTracker(config)
+    tracker.observe(0, 1)
+    trajectory = [1] if config.record_trajectory else None
+    cap = config.step_cap
+    scheduled = phase1_steps(config.N, config.p, config.warmup_slack)
+    k = _run_phase1(state, gen, n, tracker, steps=scheduled, cap=cap,
+                    trajectory=trajectory)
+    phase1_end = state.clock
+    if k < n:
+        k, _ = reference_cyclic_phase2(state, n, tracker, cap, trajectory)
+    return _finish(config, n, k >= n, state.clock, tracker, phase1_end,
+                   trajectory)
+
+
 class TestCyclicPhase2:
     def test_gap_closes_one_node_per_step(self):
         # all active, uninformed run of length g: exactly g further steps
         for g in (1, 3, 5):
             N = 12
             state = fully_active(N, [i for i in range(N) if not 4 <= i < 4 + g])
-            cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=1.0)
-            tracker = _ThresholdTracker(cfg)
-            _cyclic_phase2(state, N, tracker, cap=100, trajectory=None)
-            assert state.clock == g
+            _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+            clock = int(cover.max())
+            assert clock == g
 
     def test_strict_progress_until_complete(self):
         state = fully_active(30, [0])
-        cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=30, p=1.0)
-        tracker = _ThresholdTracker(cfg)
-        trajectory = [1]
-        _cyclic_phase2(state, 30, tracker, cap=500, trajectory=trajectory)
+        _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+        trajectory = [1] + (1 + np.bincount(cover).cumsum()[1:]).tolist()
         assert trajectory[-1] == 30
         assert all(b > a for a, b in zip(trajectory, trajectory[1:]))
 
@@ -159,6 +205,46 @@ class TestCyclicPhase2:
         assert result.phase1_end == phase1_steps(4096, 0.3,
                                                  default_phase1_slack(4096))
         assert result.completion_time >= result.phase1_end
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 10 ** 6))
+    def test_offsets_match_reference(self, N, p_active, p_informed, seed):
+        # informed nodes are active, as in every run; node 0 is both
+        gen = np.random.default_rng(seed)
+        active = gen.random(N) < p_active
+        active[0] = True
+        informed = active & (gen.random(N) < p_informed)
+        informed[0] = True
+        au, cover = _cyclic_phase2_offsets(active, informed)
+        state = make_state(active, informed.copy())
+        cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=1.0)
+        n = int(active.sum())
+        k, informed_at = reference_cyclic_phase2(
+            state, n, _ThresholdTracker(cfg), cap=N, trajectory=None)
+        assert k == n
+        assert np.array_equal(au, np.flatnonzero(active & ~informed))
+        assert np.array_equal(cover, informed_at[au])
+
+    @pytest.mark.parametrize("p,stream", [(0.3, 0), (0.3, 3), (0.5, 1),
+                                          (0.5, 2)])
+    def test_run_matches_reference_under_caps(self, p, stream):
+        N = 4096
+        phase1_end = phase1_steps(N, p, default_phase1_slack(N))
+        full = reference_run_cyclic(
+            ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=p,
+                           record_trajectory=True),
+            RngStream(seed=21, stream_id=stream))
+        assert full.completion_time > phase1_end + 3
+        inside = (phase1_end + full.completion_time) // 2
+        for cap in (None, phase1_end, phase1_end + 1, inside):
+            cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=p,
+                                 max_steps=cap, record_trajectory=True)
+            got = run(cfg, RngStream(seed=21, stream_id=stream))
+            expected = reference_run_cyclic(
+                cfg, RngStream(seed=21, stream_id=stream))
+            assert got == expected, cap
+            assert got.cap_hit == (cap is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +717,8 @@ class TestCouplingAndDeterminism:
 
 
 class TestLongestUninformedRun:
+    # on a fully active ring the last node of the longest uninformed run is
+    # the last one the cyclic sweeps reach, at a step equal to its length
     @pytest.mark.parametrize("N,informed_idx,expected", [
         (8, [0], 7),
         (8, [0, 4], 3),
@@ -640,7 +728,9 @@ class TestLongestUninformedRun:
         (5, [2, 3], 3),
     ])
     def test_fixtures(self, N, informed_idx, expected):
-        assert longest_uninformed_run(fully_active(N, informed_idx)) == expected
+        state = fully_active(N, informed_idx)
+        _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+        assert cover.max(initial=0) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 40), st.data())
@@ -654,4 +744,5 @@ class TestLongestUninformedRun:
             while length < N and not flags[(start + length) % N]:
                 length += 1
             best = max(best, length)
-        assert longest_uninformed_run(state) == best
+        _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+        assert cover.max(initial=0) == best
