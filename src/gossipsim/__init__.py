@@ -11,22 +11,10 @@ from .core import (
     default_phase1_slack,
     default_segment_length,
     informed_count,
-    is_complete,
     phase1_steps,
     sample_active,
 )
-from .protocols import (
-    SegmentStatus,
-    SegmentView,
-    TraceResult,
-    run,
-    run_cyclic,
-    run_improved_cyclic,
-    run_naive,
-    run_oracle,
-    segment_view,
-    step_naive,
-)
+from .protocols import TraceResult, run, run_coupled, step_naive
 from .theory import (
     ExactLaw,
     TheoryConstants,
@@ -56,10 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Algorithm", "ConfigError", "NetworkState", "ProtocolConfig", "RngStream",
     "default_max_steps", "default_phase1_slack", "default_segment_length",
-    "informed_count", "is_complete", "phase1_steps", "sample_active",
-    "SegmentStatus", "SegmentView", "TraceResult", "run", "run_cyclic",
-    "run_improved_cyclic", "run_naive", "run_oracle", "segment_view",
-    "step_naive",
+    "informed_count", "phase1_steps", "sample_active",
+    "TraceResult", "run", "run_coupled", "step_naive",
     "ExactLaw", "TheoryConstants", "constant", "cyclic_beats_naive",
     "exact_naive_law", "exact_oracle_law", "lower_bound_tail",
     "naive_step_kernel",

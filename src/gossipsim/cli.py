@@ -87,9 +87,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     algorithm = Algorithm.parse(args.algorithm)
-    rows = harness.convergence_sweep(algorithm, args.p, args.N,
+    rows = harness.convergence_sweep((algorithm,), args.p, args.N,
                                      trials=args.trials, base_seed=args.seed,
-                                     epsilon=args.epsilon)
+                                     epsilon=args.epsilon)[algorithm]
     if args.json:
         payload = [{"N": r.N, "mean_normalized": r.mean_normalized,
                     "ratio": r.ratio, "ratio_se": r.ratio_se} for r in rows]

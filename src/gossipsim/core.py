@@ -22,7 +22,6 @@ __all__ = [
     "NetworkState",
     "sample_active",
     "informed_count",
-    "is_complete",
     "phase1_steps",
     "default_phase1_slack",
     "default_segment_length",
@@ -209,8 +208,3 @@ def sample_active(N: int, p: float, rng: RngStream) -> NetworkState:
 
 def informed_count(state: NetworkState) -> int:
     return int(np.count_nonzero(state.informed))
-
-
-def is_complete(state: NetworkState) -> bool:
-    """True once every active node is informed."""
-    return bool(np.all(state.informed[state.active]))

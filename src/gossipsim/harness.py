@@ -32,7 +32,7 @@ from .core import (
     sample_active,
 )
 from . import theory
-from .protocols import TraceResult, run
+from .protocols import TraceResult, run, run_coupled
 from .theory import ExactLaw, constant, cyclic_beats_naive, lower_bound_tail
 
 __all__ = [
@@ -61,6 +61,8 @@ _ACCEPT_N = 2 ** 20
 _ACCEPT_P = 0.5
 _ACCEPT_TRIALS = 336  # 3 protocols x 336 = 1008 pooled trials
 _ACCEPT_HEAD = 100
+_COUPLED_PROTOCOLS = (Algorithm.NAIVE, Algorithm.CYCLIC,
+                      Algorithm.IMPROVED_CYCLIC)
 
 
 @dataclass(frozen=True)
@@ -349,35 +351,43 @@ class SweepRow:
     ratio_se: float
 
 
-def convergence_sweep(algorithm: Algorithm, p: float, N_list: Sequence[int],
-                      trials: int, base_seed: int = ACCEPTANCE_SEED,
-                      epsilon: float = 0.1) -> List[SweepRow]:
+def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
+                      N_list: Sequence[int], trials: int,
+                      base_seed: int = ACCEPTANCE_SEED, epsilon: float = 0.1,
+                      ) -> Dict[Algorithm, List[SweepRow]]:
     """Normalized completion means over an increasing N ladder.
 
     Used to check that mean(T_n)/ln N approaches the theory constant as N
-    grows. Returns one row per N with the ratio to C(p) and its standard
-    error.
+    grows. Trial ti at rung ci runs every algorithm, coupled, on stream
+    ci*trials + ti. Returns per algorithm one row per N with the ratio to
+    C(p) and its standard error.
     """
+    if not algorithms:
+        raise ConfigError("no algorithms to sweep")
     if len(N_list) < 2:
         raise ConfigError("N ladder needs at least 2 entries")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ConfigError("N ladder must be strictly increasing")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    c_theory = constant(algorithm, p)
-    out: List[SweepRow] = []
+    c_theory = [constant(alg, p) for alg in algorithms]
+    out: Dict[Algorithm, List[SweepRow]] = {alg: [] for alg in algorithms}
     for ci, N in enumerate(N_list):
-        cell = GridCell(algorithm, int(N), p)
-        config = cell.config(epsilon, False)
-        T = np.empty(trials, dtype=np.float64)
+        config = GridCell(algorithms[0], int(N), p).config(epsilon, False)
+        T = np.empty((len(algorithms), trials), dtype=np.float64)
         for ti in range(trials):
             stream = RngStream(seed=base_seed, stream_id=ci * trials + ti)
-            T[ti] = run(config, stream).completion_time
+            results = run_coupled(config, algorithms, stream)
+            for ai, alg in enumerate(algorithms):
+                T[ai, ti] = results[alg].completion_time
         ln_n = math.log(N) if N > 1 else 1.0
-        ratios = T / ln_n / c_theory
-        se = float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        out.append(SweepRow(N=int(N), mean_normalized=float(T.mean() / ln_n),
-                            ratio=float(ratios.mean()), ratio_se=se))
+        for alg, c, times in zip(algorithms, c_theory, T):
+            ratios = times / ln_n / c
+            se = (float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1
+                  else 0.0)
+            out[alg].append(SweepRow(
+                N=int(N), mean_normalized=float(times.mean() / ln_n),
+                ratio=float(ratios.mean()), ratio_se=se))
     return out
 
 
@@ -419,50 +429,45 @@ def _timed(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
 @functools.lru_cache(maxsize=8)
 def _coupled_completions(N: int, p: float, trials: int, seed: int,
                          algorithms: Tuple[Algorithm, ...],
-                         ) -> Dict[Algorithm, Dict[str, np.ndarray]]:
+                         ) -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
     """Completion times for pathwise-coupled trials, one stream per trial.
 
-    Every algorithm consumes the same per-trial stream, hence the same
-    active set and warm-up randomness. Returns per-algorithm arrays of
-    completion times and cap flags, plus the build time.
+    One run_coupled call per trial runs every algorithm on the trial's
+    stream, hence on the same active set and warm-up randomness. Returns
+    per-algorithm completion times, the number of capped runs and the
+    time of the joint build.
     """
-    out: Dict[Algorithm, Dict[str, np.ndarray]] = {}
-    for alg in algorithms:
-        config = ProtocolConfig(algorithm=alg, N=N, p=p)
-        T = np.empty(trials, dtype=np.int64)
-        caps = np.zeros(trials, dtype=bool)
-        t0 = time.perf_counter()
-        for ti in range(trials):
-            result = run(config, RngStream(seed=seed, stream_id=ti))
-            T[ti] = result.completion_time
-            caps[ti] = result.cap_hit
-        out[alg] = {"T": T, "cap": caps,
-                    "elapsed": np.float64(time.perf_counter() - t0)}
-    return out
+    config = ProtocolConfig(algorithm=algorithms[0], N=N, p=p)
+    T = {alg: np.empty(trials, dtype=np.int64) for alg in algorithms}
+    capped = 0
+    t0 = time.perf_counter()
+    for ti in range(trials):
+        stream = RngStream(seed=seed, stream_id=ti)
+        for alg, result in run_coupled(config, algorithms, stream).items():
+            T[alg][ti] = result.completion_time
+            capped += result.cap_hit
+    return T, capped, time.perf_counter() - t0
 
 
-def _acceptance_ensemble() -> Dict[Algorithm, Dict[str, np.ndarray]]:
-    return _coupled_completions(
-        _ACCEPT_N, _ACCEPT_P, _ACCEPT_TRIALS, ACCEPTANCE_SEED,
-        (Algorithm.NAIVE, Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC))
+def _acceptance_ensemble() -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
+    return _coupled_completions(_ACCEPT_N, _ACCEPT_P, _ACCEPT_TRIALS,
+                                ACCEPTANCE_SEED, _COUPLED_PROTOCOLS)
 
 
 def check_acceptance_build() -> CheckResult:
-    """Build the shared acceptance ensemble and time it per protocol.
+    """Build the shared acceptance ensemble; one time for the joint build.
 
     The completion-constant, win-rate and envelope checks all read this
     cached ensemble, so its build is charged here and not to whichever of
     them runs first. Passes when no trial hit the step cap.
     """
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    capped = sum(int(data["cap"].sum()) for data in ens.values())
-    builds = ", ".join(f"{alg.value}={float(data['elapsed']):.1f}s"
-                       for alg, data in ens.items())
+    T, capped, elapsed = _acceptance_ensemble()
     return _timed("acceptance ensemble build", capped == 0,
                   f"{_ACCEPT_TRIALS} coupled trials per protocol at "
-                  f"N={_ACCEPT_N}, p={_ACCEPT_P}: {builds}; "
-                  f"capped={capped}", t0)
+                  f"N={_ACCEPT_N}, p={_ACCEPT_P}: "
+                  f"{', '.join(alg.value for alg in T)} built jointly in "
+                  f"{elapsed:.1f}s; capped={capped}", t0)
 
 
 def _band_check(name: str, values: np.ndarray, c_theory: float, N: int,
@@ -476,24 +481,24 @@ def _band_check(name: str, values: np.ndarray, c_theory: float, N: int,
 
 
 def check_naive_constant() -> CheckResult:
-    """Mean naive time at N=2^20, p=0.5 inside [0.8, 1.2] of theory."""
+    """Mean naive time at N=2^20, p=0.5 inside [0.8, 1.2] of theory, and
+    the joint ensemble build (all three protocols) within 300 s."""
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    data = ens[Algorithm.NAIVE]
-    T = data["T"][:_ACCEPT_HEAD].astype(np.float64)
+    ens, _, elapsed = _acceptance_ensemble()
+    T = ens[Algorithm.NAIVE][:_ACCEPT_HEAD].astype(np.float64)
     c_theory = constant(Algorithm.NAIVE, _ACCEPT_P)
     res = _band_check("naive completion constant", T, c_theory, _ACCEPT_N,
                       0.8, 1.2, t0)
-    runtime_ok = float(data["elapsed"]) <= 300.0
+    runtime_ok = elapsed <= 300.0
     return CheckResult(res.name, res.passed and runtime_ok,
-                       res.detail + f", build={float(data['elapsed']):.0f}s (<=300s)",
+                       res.detail + f", build={elapsed:.0f}s (<=300s)",
                        res.elapsed)
 
 
 def check_cyclic_constant() -> CheckResult:
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    T = ens[Algorithm.CYCLIC]["T"][:_ACCEPT_HEAD].astype(np.float64)
+    ens = _acceptance_ensemble()[0]
+    T = ens[Algorithm.CYCLIC][:_ACCEPT_HEAD].astype(np.float64)
     return _band_check("cyclic completion constant", T,
                        constant(Algorithm.CYCLIC, _ACCEPT_P), _ACCEPT_N,
                        0.8, 1.2, t0)
@@ -501,9 +506,9 @@ def check_cyclic_constant() -> CheckResult:
 
 def check_cyclic_beats_naive_trials() -> CheckResult:
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    naive_mean = ens[Algorithm.NAIVE]["T"][:_ACCEPT_HEAD].mean()
-    wins = int((ens[Algorithm.CYCLIC]["T"][:_ACCEPT_HEAD] < naive_mean).sum())
+    ens = _acceptance_ensemble()[0]
+    naive_mean = ens[Algorithm.NAIVE][:_ACCEPT_HEAD].mean()
+    wins = int((ens[Algorithm.CYCLIC][:_ACCEPT_HEAD] < naive_mean).sum())
     return _timed("cyclic beats naive mean on coupled trials", wins >= 95,
                   f"wins={wins}/100 against naive mean {naive_mean:.2f} "
                   f"(need >=95)", t0)
@@ -511,8 +516,8 @@ def check_cyclic_beats_naive_trials() -> CheckResult:
 
 def check_improved_constant() -> CheckResult:
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    T = ens[Algorithm.IMPROVED_CYCLIC]["T"][:_ACCEPT_HEAD].astype(np.float64)
+    ens = _acceptance_ensemble()[0]
+    T = ens[Algorithm.IMPROVED_CYCLIC][:_ACCEPT_HEAD].astype(np.float64)
     return _band_check("improved-cyclic completion constant", T,
                        constant(Algorithm.IMPROVED_CYCLIC, _ACCEPT_P),
                        _ACCEPT_N, 0.8, 1.25, t0)
@@ -520,9 +525,9 @@ def check_improved_constant() -> CheckResult:
 
 def check_improved_beats_cyclic_trials() -> CheckResult:
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    cyclic_mean = ens[Algorithm.CYCLIC]["T"][:_ACCEPT_HEAD].mean()
-    wins = int((ens[Algorithm.IMPROVED_CYCLIC]["T"][:_ACCEPT_HEAD]
+    ens = _acceptance_ensemble()[0]
+    cyclic_mean = ens[Algorithm.CYCLIC][:_ACCEPT_HEAD].mean()
+    wins = int((ens[Algorithm.IMPROVED_CYCLIC][:_ACCEPT_HEAD]
                 < cyclic_mean).sum())
     return _timed("improved-cyclic beats cyclic mean on coupled trials",
                   wins >= 95,
@@ -533,8 +538,7 @@ def check_improved_beats_cyclic_trials() -> CheckResult:
 def check_lower_bound_envelope() -> CheckResult:
     """No protocol beats the branching lower bound K steps early."""
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()
-    pooled = np.concatenate([ens[a]["T"] for a in ens])
+    pooled = np.concatenate(list(_acceptance_ensemble()[0].values()))
     base = math.log(_ACCEPT_N) / math.log1p(_ACCEPT_P)
     parts = []
     ok = True
@@ -549,10 +553,16 @@ def check_lower_bound_envelope() -> CheckResult:
                   + "; ".join(parts), t0)
 
 
+@functools.lru_cache(maxsize=1)
+def _acceptance_ladder(trials: int) -> Dict[Algorithm, List[SweepRow]]:
+    """The one coupled sweep that the three ladder checks read."""
+    return convergence_sweep(_COUPLED_PROTOCOLS, _ACCEPT_P,
+                             [2 ** 14, 2 ** 17, 2 ** 20], trials)
+
+
 def _ladder_check(algorithm: Algorithm, trials: int = 100) -> CheckResult:
     t0 = time.perf_counter()
-    rows = convergence_sweep(algorithm, _ACCEPT_P,
-                             [2 ** 14, 2 ** 17, 2 ** 20], trials)
+    rows = _acceptance_ladder(trials)[algorithm]
     ratios = [r.ratio for r in rows]
     ses = [r.ratio_se for r in rows]
     monotone = all(
@@ -694,10 +704,10 @@ def check_domination(trials: int = 500, N: int = 2 ** 16,
     violations = 0
     checked = 0
     for p in p_values:
-        ens = _coupled_completions(N, p, trials, seed, algorithms)
-        oracle_T = ens[Algorithm.ORACLE]["T"]
+        ens = _coupled_completions(N, p, trials, seed, algorithms)[0]
+        oracle_T = ens[Algorithm.ORACLE]
         for alg in algorithms[1:]:
-            diff = ens[alg]["T"] - oracle_T
+            diff = ens[alg] - oracle_T
             violations += int((diff < 0).sum())
             checked += trials
     return _timed("oracle not later than any protocol, trial by trial",

@@ -1,46 +1,25 @@
-"""Step functions and full-run drivers for the four broadcast algorithms.
+"""Step functions and the one run driver for the four broadcast algorithms.
 
 All protocols push one message per informed active node per synchronous
 round. Completion time is the first round at which every active node is
-informed. Runs that hit the configured step cap report an explicit
-cap_hit failure instead of a completion time.
+informed; a run that hits the configured step cap reports cap_hit instead.
 
-The three real protocols share a common randomized warm-up (phase 1) so
-that trials with equal (seed, stream_id) are pathwise coupled: identical
-active sets and identical phase-1 trajectories.
+Under equal (seed, stream_id) the three real protocols are pathwise
+coupled: identical active sets and an identical randomized warm-up
+(phase 1). run_coupled runs that warm-up once for all of them.
 """
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import copy
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    Algorithm,
-    ConfigError,
-    NetworkState,
-    ProtocolConfig,
-    RngStream,
-    informed_count,
-    phase1_steps,
-    sample_active,
-)
+from .core import (Algorithm, NetworkState, ProtocolConfig, RngStream,
+                   informed_count, phase1_steps, sample_active)
 
-__all__ = [
-    "TraceResult",
-    "SegmentStatus",
-    "SegmentView",
-    "step_naive",
-    "run_naive",
-    "run_cyclic",
-    "run_improved_cyclic",
-    "run_oracle",
-    "run",
-    "segment_view",
-]
+__all__ = ["TraceResult", "step_naive", "run_coupled", "run"]
 
 _UNSET = np.iinfo(np.int64).max
 
@@ -63,24 +42,28 @@ class TraceResult:
 
 
 class _ThresholdTracker:
-    """First-passage times of the informed count over the stage thresholds.
+    """First-passage times of the informed count over the stage thresholds,
+    and the count after every step if the config records a trajectory.
 
     Thresholds are epsilon*p*N and (1-epsilon)*p*N; either may be unreachable
     in a given trial (the active count is random), in which case the entry
-    stays None.
+    stays None. Every run starts from one informed node at step 0.
     """
 
     def __init__(self, config: ProtocolConfig) -> None:
         self.low = config.epsilon * config.p * config.N
         self.high = (1.0 - config.epsilon) * config.p * config.N
-        self.t_low: Optional[int] = None
-        self.t_high: Optional[int] = None
+        self.t_low = self.t_high = None  # steps of the first passages
+        self.trajectory = [] if config.record_trajectory else None
+        self.observe(0, 1)
 
     def observe(self, t: int, k: int) -> None:
         if self.t_low is None and k >= self.low:
             self.t_low = t
         if self.t_high is None and k >= self.high:
             self.t_high = t
+        if self.trajectory is not None:
+            self.trajectory.append(k)
 
     def as_dict(self) -> Dict[str, Optional[int]]:
         return {"t_eps": self.t_low, "t_one_minus_eps": self.t_high}
@@ -100,49 +83,14 @@ def step_naive(state: NetworkState, gen: np.random.Generator) -> NetworkState:
     return state
 
 
-def _run_phase1(state: NetworkState, gen: np.random.Generator, n: int,
-                tracker: _ThresholdTracker, steps: int, cap: int,
-                trajectory: Optional[List[int]]) -> int:
-    """Advance the random-push warm-up; returns the informed count."""
-    k = informed_count(state)
-    limit = min(steps, cap)
+def _push(state: NetworkState, gen: np.random.Generator, n: int, k: int,
+          limit: int, tracker: _ThresholdTracker) -> int:
+    """Push rounds until all n are informed or the clock reaches limit."""
     while k < n and state.clock < limit:
         step_naive(state, gen)
         k = informed_count(state)
         tracker.observe(state.clock, k)
-        if trajectory is not None:
-            trajectory.append(k)
     return k
-
-
-def _finish(config: ProtocolConfig, n: int, complete: bool, t: int,
-            tracker: _ThresholdTracker, phase1_end: Optional[int],
-            trajectory: Optional[List[int]]) -> TraceResult:
-    return TraceResult(
-        config=config,
-        n_active=n,
-        completion_time=t,
-        cap_hit=not complete,
-        phase1_end=phase1_end,
-        threshold_times=tracker.as_dict(),
-        trajectory=trajectory,
-    )
-
-
-def run_naive(config: ProtocolConfig, rng: RngStream) -> TraceResult:
-    """Random push only: every informed node targets a uniform random node."""
-    if config.algorithm is not Algorithm.NAIVE:
-        raise ConfigError(f"run_naive got algorithm {config.algorithm}")
-    state = sample_active(config.N, config.p, rng)
-    gen = rng.protocol_generator()
-    n = int(np.count_nonzero(state.active))
-    tracker = _ThresholdTracker(config)
-    tracker.observe(0, 1)
-    trajectory: Optional[List[int]] = [1] if config.record_trajectory else None
-    cap = config.step_cap
-    k = _run_phase1(state, gen, n, tracker, steps=cap, cap=cap,
-                    trajectory=trajectory)
-    return _finish(config, n, k >= n, state.clock, tracker, None, trajectory)
 
 
 def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
@@ -157,87 +105,7 @@ def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
     """
     au = (active > informed).nonzero()[0]  # active and not informed
     sources = informed.nonzero()[0]
-    cover = (au - sources[sources.searchsorted(au) - 1]) % len(active)
-    return au, cover
-
-
-def _run_phased(config: ProtocolConfig, rng: RngStream,
-                phase2: Callable[[np.ndarray, np.ndarray, int], tuple],
-                ) -> TraceResult:
-    """Random-push warm-up, then a phase 2 replayed from cover offsets.
-
-    phase2(active, informed, budget) returns (au_positions, cover_offsets):
-    the active uninformed nodes and the phase-2 step at which each becomes
-    informed. Offsets beyond the budget left by the cap are never reached;
-    a capped run replays every step up to the cap.
-    """
-    state = sample_active(config.N, config.p, rng)
-    gen = rng.protocol_generator()
-    n = int(np.count_nonzero(state.active))
-    tracker = _ThresholdTracker(config)
-    tracker.observe(0, 1)
-    trajectory: Optional[List[int]] = [1] if config.record_trajectory else None
-    cap = config.step_cap
-    scheduled = phase1_steps(config.N, config.p, config.warmup_slack)
-    k = _run_phase1(state, gen, n, tracker, steps=scheduled, cap=cap,
-                    trajectory=trajectory)
-    phase1_end = state.clock
-    complete = k >= n
-    if complete or state.clock >= cap:
-        return _finish(config, n, complete, state.clock, tracker, phase1_end,
-                       trajectory)
-
-    budget = cap - phase1_end
-    au, cover = phase2(state.active, state.informed, budget)
-    covered = cover <= budget
-    complete = bool(covered.all())
-    last = int(cover.max(initial=0)) if complete else budget
-    # the informed count after each phase-2 step
-    running = (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
-               )[1:].tolist()
-    for s, count in enumerate(running, phase1_end + 1):
-        tracker.observe(s, count)
-    if trajectory is not None:
-        trajectory.extend(running)
-    state.informed[au[covered]] = True
-    state.clock = phase1_end + last
-    return _finish(config, n, complete, state.clock, tracker, phase1_end,
-                   trajectory)
-
-
-def run_cyclic(config: ProtocolConfig, rng: RngStream) -> TraceResult:
-    """Random push warm-up, then deterministic cyclic sweeps."""
-    if config.algorithm is not Algorithm.CYCLIC:
-        raise ConfigError(f"run_cyclic got algorithm {config.algorithm}")
-    return _run_phased(config, rng, lambda active, informed, budget:
-                       _cyclic_phase2_offsets(active, informed))
-
-
-class SegmentStatus(enum.Enum):
-    GOOD = "good"
-    BAD = "bad"
-
-
-@dataclass
-class SegmentView:
-    """Census snapshot of the ring partitioned into consecutive segments.
-
-    A segment is good when, after the intra-segment broadcast completes, its
-    informed count reaches ceil(segment_size * p / 2); that requires at least
-    one informed node to seed the broadcast, so status is computable from the
-    pre-broadcast state. wave_front holds, per good segment, the index of the
-    first segment its sweep will cover (-1 for bad segments).
-    """
-
-    segment_length: int
-    segment_count: int
-    status: np.ndarray            # SegmentStatus values, object dtype
-    informed_count: np.ndarray    # post-broadcast informed count per segment
-    active_count: np.ndarray
-    wave_front: np.ndarray
-
-    def good_mask(self) -> np.ndarray:
-        return self.status == SegmentStatus.GOOD
+    return au, (au - sources[sources.searchsorted(au) - 1]) % len(active)
 
 
 def _segment_census(active: np.ndarray, informed: np.ndarray, ell: int,
@@ -252,25 +120,6 @@ def _segment_census(active: np.ndarray, informed: np.ndarray, ell: int,
     # is informed, so the census is (seeded) and (enough actives)
     good = (seeded >= 1) & (act >= np.ceil(seg_len * (p / 2.0)))
     return len(seg_start), seg_start, seg_len, seeded, act, good
-
-
-def segment_view(state: NetworkState, segment_length: int,
-                 p: float) -> SegmentView:
-    if segment_length < 1 or segment_length > state.node_count:
-        raise ConfigError(f"segment_length {segment_length} invalid for "
-                          f"N={state.node_count}")
-    S, _, _, seeded, act, good = _segment_census(
-        state.active, state.informed, segment_length, p)
-    status = np.where(good, SegmentStatus.GOOD, SegmentStatus.BAD)
-    fronts = np.where(good, (np.arange(S) + 1) % S, -1)
-    return SegmentView(
-        segment_length=segment_length,
-        segment_count=S,
-        status=status,
-        informed_count=np.where(seeded >= 1, act, seeded),
-        active_count=act,
-        wave_front=fronts,
-    )
 
 
 def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
@@ -317,8 +166,7 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
         return au, cover  # nothing can reach the rest
 
     seg_end = seg_start + seg_len
-    next_seg = np.arange(1, S + 1)
-    next_seg[-1] = 0
+    next_seg = (np.arange(S) + 1) % S
     front = next_seg[origin]
     head = seg_start[front]  # next position each wave covers
     size = act[origin]
@@ -387,61 +235,96 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
     return au, cover
 
 
-def run_improved_cyclic(config: ProtocolConfig, rng: RngStream) -> TraceResult:
-    """Warm-up, intra-segment broadcast, then coalescing forward waves."""
-    if config.algorithm is not Algorithm.IMPROVED_CYCLIC:
-        raise ConfigError(f"run_improved_cyclic got algorithm {config.algorithm}")
-    return _run_phased(config, rng, lambda active, informed, budget:
-                       _improved_phase2_offsets(active, informed,
-                                                config.segment_length,
-                                                config.p, budget))
+def _phase2(alg: Algorithm, config: ProtocolConfig, state: NetworkState,
+            n: int, k: int, tracker: _ThresholdTracker) -> Tuple[bool, int]:
+    """Phase 2 from the state phase 1 left, with k of n active nodes informed.
+
+    The engine gives each active uninformed node the step that informs it;
+    those up to the cap are replayed into tracker. Returns (complete, clock).
+    """
+    end = state.clock
+    budget = config.step_cap - end
+    if k >= n or budget <= 0:
+        return k >= n, end
+    snapshot = (state.active, state.informed)
+    _, cover = (_cyclic_phase2_offsets(*snapshot) if alg is Algorithm.CYCLIC
+                else _improved_phase2_offsets(*snapshot, config.segment_length,
+                                              config.p, budget))
+    covered = cover <= budget
+    complete = bool(covered.all())
+    last = int(cover.max(initial=0)) if complete else budget
+    # the informed count after each phase-2 step
+    running = (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
+               )[1:].tolist()
+    for s, count in enumerate(running, end + 1):
+        tracker.observe(s, count)
+    return complete, end + last
 
 
-def run_oracle(config: ProtocolConfig, rng: RngStream) -> TraceResult:
+def _run_oracle(active: np.ndarray, n: int, cap: int, gen: np.random.Generator,
+                tracker: _ThresholdTracker) -> Tuple[bool, int]:
     """Coordinated ideal: informed nodes target distinct fresh nodes.
 
-    Each round the k informed nodes are assigned min(k, untargeted) distinct
-    never-before-targeted nodes; active targets become informed. Targets are
-    consumed in a pre-shuffled uniform order, which by exchangeability of the
-    active labels yields the same law as any other coordinated assignment.
+    Each round the k informed nodes take the next k never-targeted nodes
+    of a pre-shuffled uniform order; active targets become informed. By
+    exchangeability of the active labels this has the law of any other
+    coordinated assignment. Returns (complete, clock).
     """
-    if config.algorithm is not Algorithm.ORACLE:
-        raise ConfigError(f"run_oracle got algorithm {config.algorithm}")
-    state = sample_active(config.N, config.p, rng)
-    gen = rng.protocol_generator()
-    n = int(np.count_nonzero(state.active))
-    tracker = _ThresholdTracker(config)
-    tracker.observe(0, 1)
-    trajectory: Optional[List[int]] = [1] if config.record_trajectory else None
-    cap = config.step_cap
-    N = config.N
-    fresh = np.arange(1, N)
+    fresh = np.arange(1, len(active))
     gen.shuffle(fresh)  # in place: the draws of permutation, without a copy
-    k, pos = 1, 0
-    while k < n and state.clock < cap:
-        m = min(k, len(fresh) - pos)
-        if m == 0:
-            break
-        batch = fresh[pos:pos + m]
-        hits = batch[state.active[batch]]
-        state.informed[hits] = True
-        pos += m
-        k += len(hits)
-        state.clock += 1
-        tracker.observe(state.clock, k)
-        if trajectory is not None:
-            trajectory.append(k)
-    return _finish(config, n, k >= n, state.clock, tracker, None, trajectory)
+    k, pos, t = 1, 0, 0
+    while k < n and t < cap:
+        batch = fresh[pos:pos + k]
+        pos += k
+        k += int(np.count_nonzero(active[batch]))
+        t += 1
+        tracker.observe(t, k)
+    return k >= n, t
 
 
-_RUNNERS: Dict[Algorithm, Callable[[ProtocolConfig, RngStream], TraceResult]] = {
-    Algorithm.NAIVE: run_naive,
-    Algorithm.CYCLIC: run_cyclic,
-    Algorithm.IMPROVED_CYCLIC: run_improved_cyclic,
-    Algorithm.ORACLE: run_oracle,
-}
+def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
+                rng: RngStream) -> Dict[Algorithm, TraceResult]:
+    """Run several algorithms on one trial stream; one result per algorithm.
+
+    Every config field but algorithm is shared, and each result equals
+    run() of its algorithm alone. The oracle draws its targets from a fresh
+    protocol generator; the others share one phase 1 on another, run to the
+    phased schedule (the cap for naive alone). Each phase-2 engine starts
+    from the state it leaves, and naive then keeps stepping.
+    """
+    state = sample_active(config.N, config.p, rng)
+    n = int(np.count_nonzero(state.active))
+    cap = config.step_cap
+    runs = {}  # algorithm -> (complete, clock, phase1_end, tracker)
+    if Algorithm.ORACLE in algorithms:
+        oracle = _ThresholdTracker(config)
+        runs[Algorithm.ORACLE] = (*_run_oracle(
+            state.active, n, cap, rng.protocol_generator(), oracle), None, oracle)
+    phased = [alg for alg in algorithms
+              if alg in (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)]
+    naive = Algorithm.NAIVE in algorithms
+    if phased or naive:
+        gen = rng.protocol_generator()
+        tracker = _ThresholdTracker(config)
+        limit = (min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
+                 if phased else cap)
+        k = _push(state, gen, n, 1, limit, tracker)
+        end = state.clock
+        for alg in phased:  # a lone run needs no copy of the tracker
+            own = copy.deepcopy(tracker) if len(algorithms) > 1 else tracker
+            runs[alg] = (*_phase2(alg, config, state, n, k, own), end, own)
+        if naive:
+            k = _push(state, gen, n, k, cap, tracker)
+            runs[Algorithm.NAIVE] = (k >= n, state.clock, None, tracker)
+    results = {}
+    for alg in algorithms:  # in the order asked for
+        complete, t, end, rec = runs[alg]
+        cfg = config if alg is config.algorithm else replace(config, algorithm=alg)
+        results[alg] = TraceResult(cfg, n, t, not complete, end, rec.as_dict(),
+                                   rec.trajectory)
+    return results
 
 
 def run(config: ProtocolConfig, rng: RngStream) -> TraceResult:
-    """Dispatch to the configured algorithm's runner."""
-    return _RUNNERS[config.algorithm](config, rng)
+    """One trial of the configured algorithm."""
+    return run_coupled(config, (config.algorithm,), rng)[config.algorithm]

@@ -97,3 +97,4 @@ def _report_cache_info():
     yield
     # free the cached ensembles at the end of the session
     harness._coupled_completions.cache_clear()
+    harness._acceptance_ladder.cache_clear()

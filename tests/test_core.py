@@ -14,7 +14,6 @@ from gossipsim.core import (
     default_phase1_slack,
     default_segment_length,
     informed_count,
-    is_complete,
     phase1_steps,
     sample_active,
 )
@@ -194,7 +193,7 @@ class TestSampleActive:
         assert state.informed.sum() == 1
         # informed is a subset of active
         assert not np.any(state.informed & ~state.active)
-        assert is_complete(state) == (state.active.sum() == 1)
+        assert np.all(state.informed[state.active]) == (state.active.sum() == 1)
 
     def test_copy_is_independent(self):
         state = sample_active(16, 0.5, RngStream(seed=4))

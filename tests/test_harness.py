@@ -179,16 +179,19 @@ class TestRunExperiment:
 
 class TestConvergenceSweep:
     def test_ladder_validation(self):
+        naive = (Algorithm.NAIVE,)
         with pytest.raises(ConfigError):
-            convergence_sweep(Algorithm.NAIVE, 0.5, [1024], trials=2)
+            convergence_sweep(naive, 0.5, [1024], trials=2)
         with pytest.raises(ConfigError):
-            convergence_sweep(Algorithm.NAIVE, 0.5, [1024, 512], trials=2)
+            convergence_sweep(naive, 0.5, [1024, 512], trials=2)
         with pytest.raises(ConfigError):
-            convergence_sweep(Algorithm.NAIVE, 0.5, [512, 1024], trials=0)
+            convergence_sweep(naive, 0.5, [512, 1024], trials=0)
+        with pytest.raises(ConfigError):
+            convergence_sweep((), 0.5, [512, 1024], trials=2)
 
     def test_oracle_full_activity_is_exact(self):
-        rows = convergence_sweep(Algorithm.ORACLE, 1.0, [2 ** 10, 2 ** 12],
-                                 trials=5)
+        rows = convergence_sweep((Algorithm.ORACLE,), 1.0, [2 ** 10, 2 ** 12],
+                                 trials=5)[Algorithm.ORACLE]
         for row in rows:
             assert row.ratio == pytest.approx(1.0)
             assert row.ratio_se == pytest.approx(0.0)
@@ -196,13 +199,19 @@ class TestConvergenceSweep:
                 math.log2(row.N) / math.log(row.N))
 
     def test_naive_dominates_improved_per_rung(self):
-        # same seed family per rung: coupled comparison across sweeps
-        naive = convergence_sweep(Algorithm.NAIVE, 0.5, [2 ** 9, 2 ** 11],
-                                  trials=20)
-        improved = convergence_sweep(Algorithm.IMPROVED_CYCLIC, 0.5,
-                                     [2 ** 9, 2 ** 11], trials=20)
-        for slow, fast in zip(naive, improved):
+        # one sweep runs both protocols coupled, trial by trial
+        algorithms = (Algorithm.NAIVE, Algorithm.IMPROVED_CYCLIC)
+        rows = convergence_sweep(algorithms, 0.5, [2 ** 9, 2 ** 11], trials=20)
+        for slow, fast in zip(*(rows[alg] for alg in algorithms)):
             assert slow.mean_normalized > fast.mean_normalized
+
+    def test_coupled_rows_match_single_sweeps(self):
+        ladder = [2 ** 6, 2 ** 10]
+        both = convergence_sweep((Algorithm.CYCLIC, Algorithm.NAIVE), 0.3,
+                                 ladder, trials=6)
+        for alg, rows in both.items():
+            assert rows == convergence_sweep((alg,), 0.3, ladder,
+                                             trials=6)[alg]
 
 
 class TestVerifySuite:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gossipsim.core import (
     Algorithm,
-    ConfigError,
     NetworkState,
     ProtocolConfig,
     RngStream,
@@ -19,19 +18,14 @@ from gossipsim.core import (
     sample_active,
 )
 from gossipsim.protocols import (
-    SegmentStatus,
+    TraceResult,
     _UNSET,
     _ThresholdTracker,
     _cyclic_phase2_offsets,
-    _finish,
     _improved_phase2_offsets,
-    _run_phase1,
+    _segment_census,
     run,
-    run_cyclic,
-    run_improved_cyclic,
-    run_naive,
-    run_oracle,
-    segment_view,
+    run_coupled,
     step_naive,
 )
 from gossipsim.theory import ExactLaw, exact_naive_law, exact_oracle_law, naive_step_kernel
@@ -127,13 +121,8 @@ class TestRunNaive:
         assert result.completed
         assert result.n_active == 1
 
-    def test_wrong_algorithm_rejected(self):
-        cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=8, p=0.5)
-        with pytest.raises(ConfigError):
-            run_naive(cfg, RngStream(seed=0))
 
-
-def reference_cyclic_phase2(state, n, tracker, cap, trajectory):
+def reference_cyclic_phase2(state, n, tracker, cap):
     """Step-by-step cyclic sweeps: a slow reference for the closed form.
 
     A node informed at phase-2 age s (or joining later at age 0) targets
@@ -157,28 +146,31 @@ def reference_cyclic_phase2(state, n, tracker, cap, trajectory):
         state.clock += 1
         k = informed_count(state)
         tracker.observe(state.clock, k)
-        if trajectory is not None:
-            trajectory.append(k)
     return k, informed_at
 
 
 def reference_run_cyclic(config, rng):
-    """run_cyclic with its phase 2 stepped by reference_cyclic_phase2."""
+    """A cyclic trial: step_naive to the phase-1 schedule, then phase 2
+    stepped by reference_cyclic_phase2."""
     state = sample_active(config.N, config.p, rng)
     gen = rng.protocol_generator()
     n = int(np.count_nonzero(state.active))
-    tracker = _ThresholdTracker(config)
-    tracker.observe(0, 1)
-    trajectory = [1] if config.record_trajectory else None
+    tracker = _ThresholdTracker(config)  # records the trajectory, if any
     cap = config.step_cap
-    scheduled = phase1_steps(config.N, config.p, config.warmup_slack)
-    k = _run_phase1(state, gen, n, tracker, steps=scheduled, cap=cap,
-                    trajectory=trajectory)
+    limit = min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
+    k = 1
+    while k < n and state.clock < limit:
+        step_naive(state, gen)
+        k = informed_count(state)
+        tracker.observe(state.clock, k)
     phase1_end = state.clock
     if k < n:
-        k, _ = reference_cyclic_phase2(state, n, tracker, cap, trajectory)
-    return _finish(config, n, k >= n, state.clock, tracker, phase1_end,
-                   trajectory)
+        k, _ = reference_cyclic_phase2(state, n, tracker, cap)
+    return TraceResult(config=config, n_active=n,
+                       completion_time=state.clock, cap_hit=k < n,
+                       phase1_end=phase1_end,
+                       threshold_times=tracker.as_dict(),
+                       trajectory=tracker.trajectory)
 
 
 class TestCyclicPhase2:
@@ -221,7 +213,7 @@ class TestCyclicPhase2:
         cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=1.0)
         n = int(active.sum())
         k, informed_at = reference_cyclic_phase2(
-            state, n, _ThresholdTracker(cfg), cap=N, trajectory=None)
+            state, n, _ThresholdTracker(cfg), cap=N)
         assert k == n
         assert np.array_equal(au, np.flatnonzero(active & ~informed))
         assert np.array_equal(cover, informed_at[au])
@@ -619,17 +611,24 @@ class TestImprovedRun:
 
 
 class TestSegmentView:
+    """The improved protocol's segment census, _segment_census."""
+
     def test_counts_and_fronts(self):
         active = np.ones(10, dtype=bool)
         informed = np.zeros(10, dtype=bool)
         informed[0] = True
-        view = segment_view(make_state(active, informed), 4, 1.0)
-        assert view.segment_count == 3
-        assert list(view.active_count) == [4, 4, 2]
-        assert view.status[0] is SegmentStatus.GOOD
-        assert view.status[1] is SegmentStatus.BAD  # unseeded
-        assert view.wave_front[0] == 1
-        assert view.wave_front[1] == -1
+        S, seg_start, seg_len, seeded, act, good = _segment_census(
+            active, informed, 4, 1.0)
+        assert S == 3
+        assert seg_start.tolist() == [0, 4, 8]
+        assert seg_len.tolist() == [4, 4, 2]
+        assert seeded.tolist() == [1, 0, 0]
+        assert act.tolist() == [4, 4, 2]
+        assert good.tolist() == [True, False, False]  # unseeded are bad
+        # the good segment's wave front starts at the next segment once its
+        # 3-step broadcast is done, and recruits it before the tail
+        offs = engine_offsets(active, informed, 4, 1.0, 100)
+        assert offs == {1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4, 7: 4, 8: 5, 9: 5}
 
     def test_short_tail_threshold(self):
         # the 2-node tail segment needs ceil(2*p/2) = 1 active node
@@ -637,14 +636,9 @@ class TestSegmentView:
         active[[0, 8]] = True
         informed = np.zeros(10, dtype=bool)
         informed[[0, 8]] = True
-        view = segment_view(make_state(active, informed), 4, 1.0)
-        assert view.status[2] is SegmentStatus.GOOD
-        assert view.status[0] is SegmentStatus.BAD  # 1 active of 4 needed 2
-
-    def test_invalid_length(self):
-        state = fully_active(4, [0])
-        with pytest.raises(ConfigError):
-            segment_view(state, 9, 0.5)
+        *_, good = _segment_census(active, informed, 4, 1.0)
+        assert good[2]
+        assert not good[0]  # 1 active of 4 needed 2
 
 
 class TestOracle:
@@ -714,6 +708,60 @@ class TestCouplingAndDeterminism:
                  for alg in Algorithm}
         assert times == {Algorithm.NAIVE: 1, Algorithm.CYCLIC: 1,
                          Algorithm.IMPROVED_CYCLIC: 1, Algorithm.ORACLE: 2}
+
+
+class TestRunCoupled:
+    """One run_coupled call equals a separate run per algorithm."""
+
+    @staticmethod
+    def caps(N, p):
+        # none, inside phase 1, at its end, one past it and inside phase 2
+        end = phase1_steps(N, p, default_phase1_slack(N))
+        return [None] + sorted({max(1, end - 1), max(1, end), end + 1,
+                                end + 3})
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 1000, 4096])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+    def test_matches_separate_runs(self, N, p):
+        capped_in_phase2 = 0
+        for stream in range(4):
+            for cap in self.caps(N, p):
+                config = ProtocolConfig(algorithm=Algorithm.NAIVE, N=N, p=p,
+                                        max_steps=cap, record_trajectory=True)
+                rng = RngStream(seed=41, stream_id=stream)
+                coupled = run_coupled(config, tuple(Algorithm), rng)
+                assert set(coupled) == set(Algorithm)
+                for alg, got in coupled.items():
+                    alone = run(ProtocolConfig(
+                        algorithm=alg, N=N, p=p, max_steps=cap,
+                        record_trajectory=True), rng)
+                    assert got == alone, (alg, stream, cap)
+                    if alg is Algorithm.CYCLIC and got.cap_hit:
+                        capped_in_phase2 += got.completion_time > got.phase1_end
+        if N >= 1000:
+            assert capped_in_phase2 > 0
+
+    @pytest.mark.parametrize("algorithms", [
+        (Algorithm.IMPROVED_CYCLIC, Algorithm.NAIVE),
+        (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC),
+        (Algorithm.ORACLE,),
+    ])
+    def test_subsets_match_separate_runs(self, algorithms):
+        config = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=4096, p=0.3,
+                                record_trajectory=True)
+        for stream in range(3):
+            rng = RngStream(seed=42, stream_id=stream)
+            coupled = run_coupled(config, algorithms, rng)
+            assert set(coupled) == set(algorithms)
+            for alg in algorithms:
+                alone = run(ProtocolConfig(algorithm=alg, N=4096, p=0.3,
+                                           record_trajectory=True), rng)
+                assert coupled[alg] == alone
+
+    def test_single_algorithm_keeps_the_config(self):
+        config = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=64, p=0.5)
+        result = run_coupled(config, (Algorithm.CYCLIC,), RngStream(seed=3))
+        assert result[Algorithm.CYCLIC].config is config
 
 
 class TestLongestUninformedRun:
