@@ -32,7 +32,6 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
                    help="strictly increasing ladder of network sizes")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=harness.ACCEPTANCE_SEED)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
@@ -87,9 +86,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     algorithm = Algorithm.parse(args.algorithm)
-    rows = harness.convergence_sweep((algorithm,), args.p, args.N,
-                                     trials=args.trials, base_seed=args.seed,
-                                     epsilon=args.epsilon)[algorithm]
+    rows = harness.convergence_sweep((algorithm,), args.p, args.N, args.trials,
+                                     args.seed)[algorithm]
     if args.json:
         payload = [{"N": r.N, "mean_normalized": r.mean_normalized,
                     "ratio": r.ratio, "ratio_se": r.ratio_se} for r in rows]

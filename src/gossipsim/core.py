@@ -187,10 +187,6 @@ class NetworkState:
     informed: np.ndarray
     clock: int = 0
 
-    def copy(self) -> "NetworkState":
-        return NetworkState(self.node_count, self.active.copy(),
-                            self.informed.copy(), self.clock)
-
 
 def sample_active(N: int, p: float, rng: RngStream) -> NetworkState:
     """Sample the active set: node 0 forced active and informed, others i.i.d."""

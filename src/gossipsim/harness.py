@@ -63,6 +63,10 @@ _ACCEPT_TRIALS = 336  # 3 protocols x 336 = 1008 pooled trials
 _ACCEPT_HEAD = 100
 _COUPLED_PROTOCOLS = (Algorithm.NAIVE, Algorithm.CYCLIC,
                       Algorithm.IMPROVED_CYCLIC)
+_BAND_CEILING = {Algorithm.NAIVE: 1.2, Algorithm.CYCLIC: 1.2,
+                 Algorithm.IMPROVED_CYCLIC: 1.25}
+_LADDER = (2 ** 14, 2 ** 17, 2 ** 20)
+_LADDER_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,7 @@ def _row_from_trace(trial_id: int, seed: int, stream_id: int,
 
 
 def _execute_trial(args) -> TrialRow:
-    (alg_value, N, p, epsilon, record, seed, stream_id, trial_id) = args
-    cell = GridCell(Algorithm(alg_value), N, p)
-    config = cell.config(epsilon, record)
+    config, seed, stream_id, trial_id = args
     result = run(config, RngStream(seed=seed, stream_id=stream_id))
     return _row_from_trace(trial_id, seed, stream_id, result)
 
@@ -324,10 +326,9 @@ def run_experiment(spec: ExperimentSpec,
     tasks = []
     trials = spec.trials_per_cell
     for ci, cell in enumerate(spec.grid):
-        for ti in range(trials):
-            stream_id = ci * trials + ti
-            tasks.append((cell.algorithm.value, cell.N, cell.p, spec.epsilon,
-                          spec.record_trajectory, spec.base_seed, stream_id, ti))
+        config = cell.config(spec.epsilon, spec.record_trajectory)
+        tasks.extend((config, spec.base_seed, ci * trials + ti, ti)
+                     for ti in range(trials))
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_trial, tasks, chunksize=8))
@@ -353,7 +354,7 @@ class SweepRow:
 
 def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
                       N_list: Sequence[int], trials: int,
-                      base_seed: int = ACCEPTANCE_SEED, epsilon: float = 0.1,
+                      base_seed: int = ACCEPTANCE_SEED,
                       ) -> Dict[Algorithm, List[SweepRow]]:
     """Normalized completion means over an increasing N ladder.
 
@@ -372,23 +373,47 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
         raise ConfigError("trials must be >= 1")
     c_theory = [constant(alg, p) for alg in algorithms]
     out: Dict[Algorithm, List[SweepRow]] = {alg: [] for alg in algorithms}
-    for ci, N in enumerate(N_list):
-        config = GridCell(algorithms[0], int(N), p).config(epsilon, False)
-        T = np.empty((len(algorithms), trials), dtype=np.float64)
-        for ti in range(trials):
-            stream = RngStream(seed=base_seed, stream_id=ci * trials + ti)
-            results = run_coupled(config, algorithms, stream)
-            for ai, alg in enumerate(algorithms):
-                T[ai, ti] = results[alg].completion_time
+    for N, (T, _, _) in zip(N_list, _rungs(tuple(algorithms), p, N_list,
+                                           trials, base_seed)):
         ln_n = math.log(N) if N > 1 else 1.0
-        for alg, c, times in zip(algorithms, c_theory, T):
-            ratios = times / ln_n / c
+        for alg, c in zip(algorithms, c_theory):
+            ratios = T[alg] / ln_n / c
             se = (float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1
                   else 0.0)
             out[alg].append(SweepRow(
-                N=int(N), mean_normalized=float(times.mean() / ln_n),
+                N=int(N), mean_normalized=float(T[alg].mean() / ln_n),
                 ratio=float(ratios.mean()), ratio_se=se))
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _ensemble(config: ProtocolConfig, algorithms: Tuple[Algorithm, ...],
+              seed: int, streams: range,
+              ) -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
+    """Completion times of coupled trials, one run_coupled call per stream.
+
+    Every algorithm of a trial runs on the same active set and warm-up
+    randomness; with one algorithm a trial draws exactly like run(). Returns
+    per-algorithm completion times in stream order, the number of capped
+    runs and the build time. The sweeps and simulated checks read it.
+    """
+    T = {alg: np.empty(len(streams), dtype=np.int64) for alg in algorithms}
+    capped = 0
+    t0 = time.perf_counter()
+    for ti, stream_id in enumerate(streams):
+        stream = RngStream(seed=seed, stream_id=stream_id)
+        for alg, result in run_coupled(config, algorithms, stream).items():
+            T[alg][ti] = result.completion_time
+            capped += result.cap_hit
+    return T, capped, time.perf_counter() - t0
+
+
+def _rungs(algorithms: Tuple[Algorithm, ...], p: float, N_list: Sequence[int],
+           trials: int, seed: int):
+    """One coupled ensemble per rung ci, on streams ci*trials + ti."""
+    return [_ensemble(ProtocolConfig(algorithms[0], int(N), p), algorithms,
+                      seed, range(ci * trials, (ci + 1) * trials))
+            for ci, N in enumerate(N_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,113 +451,60 @@ def _timed(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
                        elapsed=time.perf_counter() - t0)
 
 
-@functools.lru_cache(maxsize=8)
-def _coupled_completions(N: int, p: float, trials: int, seed: int,
-                         algorithms: Tuple[Algorithm, ...],
-                         ) -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
-    """Completion times for pathwise-coupled trials, one stream per trial.
-
-    One run_coupled call per trial runs every algorithm on the trial's
-    stream, hence on the same active set and warm-up randomness. Returns
-    per-algorithm completion times, the number of capped runs and the
-    time of the joint build.
-    """
-    config = ProtocolConfig(algorithm=algorithms[0], N=N, p=p)
-    T = {alg: np.empty(trials, dtype=np.int64) for alg in algorithms}
-    capped = 0
-    t0 = time.perf_counter()
-    for ti in range(trials):
-        stream = RngStream(seed=seed, stream_id=ti)
-        for alg, result in run_coupled(config, algorithms, stream).items():
-            T[alg][ti] = result.completion_time
-            capped += result.cap_hit
-    return T, capped, time.perf_counter() - t0
-
-
 def _acceptance_ensemble() -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
-    return _coupled_completions(_ACCEPT_N, _ACCEPT_P, _ACCEPT_TRIALS,
-                                ACCEPTANCE_SEED, _COUPLED_PROTOCOLS)
+    return _ensemble(ProtocolConfig(_COUPLED_PROTOCOLS[0], _ACCEPT_N, _ACCEPT_P),
+                     _COUPLED_PROTOCOLS, ACCEPTANCE_SEED, range(_ACCEPT_TRIALS))
 
 
 def check_acceptance_build() -> CheckResult:
-    """Build the shared acceptance ensemble; one time for the joint build.
+    """Build every cached ensemble the full checks read; time each build.
 
-    The completion-constant, win-rate and envelope checks all read this
-    cached ensemble, so its build is charged here and not to whichever of
-    them runs first. Passes when no trial hit the step cap.
+    The constant, win-rate and envelope checks read the 2^20 ensemble and
+    the ladder checks read the three rungs, so their builds are charged
+    here and not to whichever check runs first. Passes when no trial hit
+    the step cap and the 2^20 ensemble built within 300 s.
     """
     t0 = time.perf_counter()
-    T, capped, elapsed = _acceptance_ensemble()
-    return _timed("acceptance ensemble build", capped == 0,
+    T, capped, build = _acceptance_ensemble()
+    rungs = _rungs(_COUPLED_PROTOCOLS, _ACCEPT_P, _LADDER, _LADDER_TRIALS,
+                   ACCEPTANCE_SEED)
+    capped += sum(rung[1] for rung in rungs)
+    ladder = sum(rung[2] for rung in rungs)
+    return _timed("acceptance ensemble build", capped == 0 and build <= 300.0,
                   f"{_ACCEPT_TRIALS} coupled trials per protocol at "
                   f"N={_ACCEPT_N}, p={_ACCEPT_P}: "
                   f"{', '.join(alg.value for alg in T)} built jointly in "
-                  f"{elapsed:.1f}s; capped={capped}", t0)
+                  f"{build:.1f}s (<=300s); ladder N={list(_LADDER)} x "
+                  f"{_LADDER_TRIALS} trials in {ladder:.1f}s; capped={capped}",
+                  t0)
 
 
-def _band_check(name: str, values: np.ndarray, c_theory: float, N: int,
-                lo: float, hi: float, t0: float,
-                extra: str = "") -> CheckResult:
-    ratio = float(values.mean() / math.log(N) / c_theory)
-    ok = lo <= ratio <= hi
-    detail = (f"mean T={values.mean():.2f}, ratio={ratio:.4f}, "
-              f"band=[{lo}, {hi}]{extra}")
-    return _timed(name, ok, detail, t0)
+def _label(algorithm: Algorithm) -> str:
+    return algorithm.value.replace("_", "-")
 
 
-def check_naive_constant() -> CheckResult:
-    """Mean naive time at N=2^20, p=0.5 inside [0.8, 1.2] of theory, and
-    the joint ensemble build (all three protocols) within 300 s."""
+def check_constant(algorithm: Algorithm) -> CheckResult:
+    """Mean time at N=2^20, p=0.5 inside [0.8, ceiling] of C(p)."""
     t0 = time.perf_counter()
-    ens, _, elapsed = _acceptance_ensemble()
-    T = ens[Algorithm.NAIVE][:_ACCEPT_HEAD].astype(np.float64)
-    c_theory = constant(Algorithm.NAIVE, _ACCEPT_P)
-    res = _band_check("naive completion constant", T, c_theory, _ACCEPT_N,
-                      0.8, 1.2, t0)
-    runtime_ok = elapsed <= 300.0
-    return CheckResult(res.name, res.passed and runtime_ok,
-                       res.detail + f", build={elapsed:.0f}s (<=300s)",
-                       res.elapsed)
+    T = _acceptance_ensemble()[0][algorithm][:_ACCEPT_HEAD]
+    hi = _BAND_CEILING[algorithm]
+    ratio = float(T.mean() / math.log(_ACCEPT_N) / constant(algorithm, _ACCEPT_P))
+    return _timed(f"{_label(algorithm)} completion constant",
+                  0.8 <= ratio <= hi,
+                  f"mean T={T.mean():.2f}, ratio={ratio:.4f}, band=[0.8, {hi}]",
+                  t0)
 
 
-def check_cyclic_constant() -> CheckResult:
+def check_beats(algorithm: Algorithm, baseline: Algorithm) -> CheckResult:
+    """At least 95 of 100 coupled trials finish below the baseline's mean."""
     t0 = time.perf_counter()
     ens = _acceptance_ensemble()[0]
-    T = ens[Algorithm.CYCLIC][:_ACCEPT_HEAD].astype(np.float64)
-    return _band_check("cyclic completion constant", T,
-                       constant(Algorithm.CYCLIC, _ACCEPT_P), _ACCEPT_N,
-                       0.8, 1.2, t0)
-
-
-def check_cyclic_beats_naive_trials() -> CheckResult:
-    t0 = time.perf_counter()
-    ens = _acceptance_ensemble()[0]
-    naive_mean = ens[Algorithm.NAIVE][:_ACCEPT_HEAD].mean()
-    wins = int((ens[Algorithm.CYCLIC][:_ACCEPT_HEAD] < naive_mean).sum())
-    return _timed("cyclic beats naive mean on coupled trials", wins >= 95,
-                  f"wins={wins}/100 against naive mean {naive_mean:.2f} "
-                  f"(need >=95)", t0)
-
-
-def check_improved_constant() -> CheckResult:
-    t0 = time.perf_counter()
-    ens = _acceptance_ensemble()[0]
-    T = ens[Algorithm.IMPROVED_CYCLIC][:_ACCEPT_HEAD].astype(np.float64)
-    return _band_check("improved-cyclic completion constant", T,
-                       constant(Algorithm.IMPROVED_CYCLIC, _ACCEPT_P),
-                       _ACCEPT_N, 0.8, 1.25, t0)
-
-
-def check_improved_beats_cyclic_trials() -> CheckResult:
-    t0 = time.perf_counter()
-    ens = _acceptance_ensemble()[0]
-    cyclic_mean = ens[Algorithm.CYCLIC][:_ACCEPT_HEAD].mean()
-    wins = int((ens[Algorithm.IMPROVED_CYCLIC][:_ACCEPT_HEAD]
-                < cyclic_mean).sum())
-    return _timed("improved-cyclic beats cyclic mean on coupled trials",
-                  wins >= 95,
-                  f"wins={wins}/100 against cyclic mean {cyclic_mean:.2f} "
-                  f"(need >=95)", t0)
+    base_mean = ens[baseline][:_ACCEPT_HEAD].mean()
+    wins = int((ens[algorithm][:_ACCEPT_HEAD] < base_mean).sum())
+    return _timed(f"{_label(algorithm)} beats {_label(baseline)} mean on "
+                  f"coupled trials", wins >= 95,
+                  f"wins={wins}/{_ACCEPT_HEAD} against {baseline.value} mean "
+                  f"{base_mean:.2f} (need >=95)", t0)
 
 
 def check_lower_bound_envelope() -> CheckResult:
@@ -553,16 +525,12 @@ def check_lower_bound_envelope() -> CheckResult:
                   + "; ".join(parts), t0)
 
 
-@functools.lru_cache(maxsize=1)
-def _acceptance_ladder(trials: int) -> Dict[Algorithm, List[SweepRow]]:
-    """The one coupled sweep that the three ladder checks read."""
-    return convergence_sweep(_COUPLED_PROTOCOLS, _ACCEPT_P,
-                             [2 ** 14, 2 ** 17, 2 ** 20], trials)
-
-
-def _ladder_check(algorithm: Algorithm, trials: int = 100) -> CheckResult:
+def check_convergence(algorithm: Algorithm) -> CheckResult:
+    """The ratio to C(p) falls along the 2^14, 2^17, 2^20 ladder, and its
+    last rung is near C(p) (for improved-cyclic: the excess rate holds)."""
     t0 = time.perf_counter()
-    rows = _acceptance_ladder(trials)[algorithm]
+    rows = convergence_sweep(_COUPLED_PROTOCOLS, _ACCEPT_P, _LADDER,
+                             _LADDER_TRIALS)[algorithm]
     ratios = [r.ratio for r in rows]
     ses = [r.ratio_se for r in rows]
     monotone = all(
@@ -604,25 +572,11 @@ def _excess_rate_clause(rows: Sequence[SweepRow], p: float
     return ok, detail
 
 
-def check_convergence_naive() -> CheckResult:
-    return _ladder_check(Algorithm.NAIVE)
-
-
-def check_convergence_cyclic() -> CheckResult:
-    return _ladder_check(Algorithm.CYCLIC)
-
-
-def check_convergence_improved() -> CheckResult:
-    return _ladder_check(Algorithm.IMPROVED_CYCLIC)
-
-
 def _empirical_law(algorithm: Algorithm, N: int, p: float, trials: int,
                    seed: int) -> ExactLaw:
     config = ProtocolConfig(algorithm=algorithm, N=N, p=p)
-    values = np.empty(trials, dtype=np.int64)
-    for ti in range(trials):
-        values[ti] = run(config, RngStream(seed=seed, stream_id=ti)).completion_time
-    return ExactLaw.from_samples(values)
+    T = _ensemble(config, (algorithm,), seed, range(trials))[0]
+    return ExactLaw.from_samples(T[algorithm])
 
 
 def check_oracle_law(trials: int = 10 ** 5, tolerance: float = 0.02,
@@ -704,7 +658,8 @@ def check_domination(trials: int = 500, N: int = 2 ** 16,
     violations = 0
     checked = 0
     for p in p_values:
-        ens = _coupled_completions(N, p, trials, seed, algorithms)[0]
+        ens = _ensemble(ProtocolConfig(algorithms[0], N, p), algorithms, seed,
+                        range(trials))[0]
         oracle_T = ens[Algorithm.ORACLE]
         for alg in algorithms[1:]:
             diff = ens[alg] - oracle_T
@@ -744,15 +699,15 @@ def acceptance_checks() -> List[CheckResult]:
     """The full acceptance gauntlet (shared with tests/test_acceptance.py)."""
     return [
         check_acceptance_build(),
-        check_naive_constant(),
-        check_cyclic_constant(),
-        check_cyclic_beats_naive_trials(),
-        check_improved_constant(),
-        check_improved_beats_cyclic_trials(),
+        check_constant(Algorithm.NAIVE),
+        check_constant(Algorithm.CYCLIC),
+        check_beats(Algorithm.CYCLIC, Algorithm.NAIVE),
+        check_constant(Algorithm.IMPROVED_CYCLIC),
+        check_beats(Algorithm.IMPROVED_CYCLIC, Algorithm.CYCLIC),
         check_lower_bound_envelope(),
-        check_convergence_naive(),
-        check_convergence_cyclic(),
-        check_convergence_improved(),
+        check_convergence(Algorithm.NAIVE),
+        check_convergence(Algorithm.CYCLIC),
+        check_convergence(Algorithm.IMPROVED_CYCLIC),
         check_oracle_law(),
         check_naive_law(),
         check_active_concentration(),

@@ -36,10 +36,6 @@ class TraceResult:
     threshold_times: Dict[str, Optional[int]] = field(default_factory=dict)
     trajectory: Optional[List[int]] = None
 
-    @property
-    def completed(self) -> bool:
-        return not self.cap_hit
-
 
 class _ThresholdTracker:
     """First-passage times of the informed count over the stage thresholds,
@@ -236,14 +232,15 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
 
 
 def _phase2(alg: Algorithm, config: ProtocolConfig, state: NetworkState,
-            n: int, k: int, tracker: _ThresholdTracker) -> Tuple[bool, int]:
+            n: int, k: int, cap: int, tracker: _ThresholdTracker
+            ) -> Tuple[bool, int]:
     """Phase 2 from the state phase 1 left, with k of n active nodes informed.
 
     The engine gives each active uninformed node the step that informs it;
     those up to the cap are replayed into tracker. Returns (complete, clock).
     """
     end = state.clock
-    budget = config.step_cap - end
+    budget = cap - end
     if k >= n or budget <= 0:
         return k >= n, end
     snapshot = (state.active, state.informed)
@@ -312,7 +309,7 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
         end = state.clock
         for alg in phased:  # a lone run needs no copy of the tracker
             own = copy.deepcopy(tracker) if len(algorithms) > 1 else tracker
-            runs[alg] = (*_phase2(alg, config, state, n, k, own), end, own)
+            runs[alg] = (*_phase2(alg, config, state, n, k, cap, own), end, own)
         if naive:
             k = _push(state, gen, n, k, cap, tracker)
             runs[Algorithm.NAIVE] = (k >= n, state.clock, None, tracker)

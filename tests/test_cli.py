@@ -70,6 +70,14 @@ class TestSweepCommand:
                          "--N", "1024"])
         assert code == 2
 
+    def test_epsilon_flag_rejected(self):
+        # completion times ignore the stage thresholds, so sweep has no
+        # --epsilon; argparse rejects it with exit code 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--algorithm", "naive", "--p", "0.5",
+                      "--N", "64", "128", "--epsilon", "0.2"])
+        assert exc.value.code == 2
+
     def test_bad_algorithm_exits_2(self):
         code = cli.main(["sweep", "--algorithm", "gossipmonger", "--p", "0.5",
                          "--N", "64", "128"])

@@ -194,11 +194,3 @@ class TestSampleActive:
         # informed is a subset of active
         assert not np.any(state.informed & ~state.active)
         assert np.all(state.informed[state.active]) == (state.active.sum() == 1)
-
-    def test_copy_is_independent(self):
-        state = sample_active(16, 0.5, RngStream(seed=4))
-        clone = state.copy()
-        clone.informed[5] = True
-        clone.clock = 9
-        assert informed_count(state) == 1
-        assert state.clock == 0

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gossipsim.core import Algorithm, ConfigError
+from gossipsim import harness
+from gossipsim.core import Algorithm, ConfigError, ProtocolConfig
 from gossipsim.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -212,6 +213,20 @@ class TestConvergenceSweep:
         for alg, rows in both.items():
             assert rows == convergence_sweep((alg,), 0.3, ladder,
                                              trials=6)[alg]
+
+
+class TestEnsemble:
+    def test_capped_trials_counted_and_cached(self):
+        # a cap of 2 steps stops every protocol, in phase 1, at step 2
+        algorithms = (Algorithm.NAIVE, Algorithm.CYCLIC,
+                      Algorithm.IMPROVED_CYCLIC)
+        config = ProtocolConfig(Algorithm.NAIVE, 4096, 0.5, max_steps=2)
+        built = harness._ensemble(config, algorithms, 31, range(5))
+        T, capped, _ = built
+        assert capped == 15
+        assert set(T) == set(algorithms)
+        assert all((times == 2).all() for times in T.values())
+        assert harness._ensemble(config, algorithms, 31, range(5)) is built
 
 
 class TestVerifySuite:

@@ -73,7 +73,7 @@ class TestStepNaive:
         template = fully_active(N, range(k))
         counts = np.zeros(N - k + 1, dtype=np.int64)
         for _ in range(reps):
-            state = template.copy()
+            state = make_state(template.active, template.informed.copy())
             step_naive(state, gen)
             counts[informed_count(state) - k] += 1
         exact = naive_step_kernel(N, k, N - k)
@@ -118,7 +118,7 @@ class TestRunNaive:
         cfg = ProtocolConfig(algorithm=Algorithm.NAIVE, N=1, p=0.5)
         result = run(cfg, RngStream(seed=0))
         assert result.completion_time == 0
-        assert result.completed
+        assert not result.cap_hit
         assert result.n_active == 1
 
 
@@ -193,7 +193,7 @@ class TestCyclicPhase2:
     def test_run_reports_phase_boundary(self):
         cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=4096, p=0.3)
         result = run(cfg, RngStream(seed=21, stream_id=4))
-        assert result.completed
+        assert not result.cap_hit
         assert result.phase1_end == phase1_steps(4096, 0.3,
                                                  default_phase1_slack(4096))
         assert result.completion_time >= result.phase1_end
@@ -575,7 +575,7 @@ class TestImprovedRun:
     def test_completes_and_reports_phases(self):
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=4096, p=0.5)
         result = run(cfg, RngStream(seed=22, stream_id=1))
-        assert result.completed
+        assert not result.cap_hit
         assert result.phase1_end == phase1_steps(4096, 0.5,
                                                  default_phase1_slack(4096))
         assert result.completion_time > result.phase1_end
@@ -607,7 +607,7 @@ class TestImprovedRun:
     def test_single_node(self):
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=1, p=0.5)
         result = run(cfg, RngStream(seed=0))
-        assert result.completion_time == 0 and result.completed
+        assert result.completion_time == 0 and not result.cap_hit
 
 
 class TestSegmentView:
@@ -696,7 +696,7 @@ class TestCouplingAndDeterminism:
         for alg in Algorithm:
             cfg = ProtocolConfig(algorithm=alg, N=4096, p=0.5, max_steps=1)
             result = run(cfg, RngStream(seed=29))
-            assert result.cap_hit and not result.completed
+            assert result.cap_hit
             assert result.completion_time == 1
 
     def test_oracle_wins_in_law_not_per_trial(self):
