@@ -32,7 +32,6 @@ from .harness import (
     GridCell,
     SummaryStats,
     SweepRow,
-    TrialRow,
     VerifyReport,
     convergence_sweep,
     run_experiment,
@@ -50,7 +49,7 @@ __all__ = [
     "exact_naive_law", "exact_oracle_law", "lower_bound_tail",
     "naive_step_kernel",
     "CellSummary", "CheckResult", "ExperimentSpec", "GridCell",
-    "SummaryStats", "SweepRow", "TrialRow", "VerifyReport",
+    "SummaryStats", "SweepRow", "VerifyReport",
     "convergence_sweep", "run_experiment", "verify_suite",
     "__version__",
 ]

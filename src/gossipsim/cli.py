@@ -142,9 +142,7 @@ def _cmd_oracle_law(args: argparse.Namespace) -> int:
         return 0
     print(f"exact oracle completion law, N={args.N}, p={args.p}")
     print(f"{'t':>6}{'P(T=t)':>16}{'P(T<=t)':>16}")
-    cum = 0.0
-    for t, pr in law.as_dict().items():
-        cum += pr
+    for (t, pr), cum in zip(law.as_dict().items(), law.cdf()):
         print(f"{t:>6}{pr:>16.10f}{cum:>16.10f}")
     print(f"mean = {law.mean():.6f}")
     return 0

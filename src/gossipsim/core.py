@@ -130,7 +130,6 @@ class ProtocolConfig:
     p: float
     phase1_slack: Optional[float] = None
     epsilon: float = 0.1
-    segment_length_override: Optional[int] = None
     max_steps: Optional[int] = None
     record_trajectory: bool = False
 
@@ -145,12 +144,6 @@ class ProtocolConfig:
             raise ConfigError(f"phase1_slack must be >= 0, got {self.phase1_slack}")
         if not (0.0 < float(self.epsilon) < 0.5):
             raise ConfigError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-        if self.segment_length_override is not None:
-            ell = int(self.segment_length_override)
-            if ell < 1:
-                raise ConfigError(f"segment_length_override must be >= 1, got {ell}")
-            if ell > int(self.N):
-                raise ConfigError(f"segment_length_override {ell} exceeds N={self.N}")
         if self.max_steps is not None and int(self.max_steps) < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
 
@@ -163,8 +156,6 @@ class ProtocolConfig:
 
     @property
     def segment_length(self) -> int:
-        if self.segment_length_override is not None:
-            return int(self.segment_length_override)
         return default_segment_length(self.N)
 
     @property

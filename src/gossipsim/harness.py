@@ -19,7 +19,7 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,13 +32,12 @@ from .core import (
     sample_active,
 )
 from . import theory
-from .protocols import TraceResult, run, run_coupled
+from .protocols import run, run_coupled
 from .theory import ExactLaw, constant, cyclic_beats_naive, lower_bound_tail
 
 __all__ = [
     "GridCell",
     "ExperimentSpec",
-    "TrialRow",
     "CellSummary",
     "SummaryStats",
     "run_experiment",
@@ -86,6 +85,20 @@ _SPEC_KEYS = {"grid", "trials_per_cell", "base_seed", "record_trajectory",
 _CELL_KEYS = {"algorithm", "N", "p"}
 
 
+def _spec_value(data: dict, key: str, kind: type):
+    """data[key] converted by kind; ConfigError if it does not convert, or
+    if kind is int and the value is a bool or not integral."""
+    value = data[key]
+    try:
+        if kind is int and (isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer())):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"spec value {key}={value!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of a raw-trial ensemble."""
@@ -125,16 +138,17 @@ class ExperimentSpec:
             if not isinstance(entry, dict) or set(entry) != _CELL_KEYS:
                 raise ConfigError(f"grid cell must have keys exactly "
                                   f"{sorted(_CELL_KEYS)}, got {entry!r}")
-            cells.append(GridCell(algorithm=Algorithm.parse(str(entry["algorithm"])),
-                                  N=int(entry["N"]), p=float(entry["p"])))
+            cells.append(GridCell(
+                algorithm=Algorithm.parse(_spec_value(entry, "algorithm", str)),
+                N=_spec_value(entry, "N", int), p=_spec_value(entry, "p", float)))
         return cls(
             grid=tuple(cells),
-            trials_per_cell=int(data["trials_per_cell"]),
-            base_seed=int(data["base_seed"]),
-            record_trajectory=bool(data["record_trajectory"]),
-            epsilon=float(data["epsilon"]),
-            output_path=str(data["output_path"]),
-            format=str(data["format"]).lower(),
+            trials_per_cell=_spec_value(data, "trials_per_cell", int),
+            base_seed=_spec_value(data, "base_seed", int),
+            record_trajectory=_spec_value(data, "record_trajectory", bool),
+            epsilon=_spec_value(data, "epsilon", float),
+            output_path=_spec_value(data, "output_path", str),
+            format=_spec_value(data, "format", str).lower(),
         )
 
     @classmethod
@@ -149,65 +163,19 @@ class ExperimentSpec:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    trial_id: int
-    algorithm: str
-    N: int
-    p: float
-    seed: int
-    stream_id: int
-    n_active: int
-    phase1_end: Optional[int]
-    t_eps: Optional[int]
-    t_one_minus_eps: Optional[int]
-    T_n: int
-    cap_hit: bool
-    trajectory: Optional[Tuple[int, ...]] = None
-
-    def csv_values(self) -> Tuple[str, ...]:
-        def fmt(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
-
-        return tuple(fmt(getattr(self, col)) for col in CSV_COLUMNS)
-
-    def json_object(self) -> dict:
-        obj = {col: getattr(self, col) for col in CSV_COLUMNS}
-        if self.trajectory is not None:
-            obj["trajectory"] = list(self.trajectory)
-        return obj
-
-
-def _row_from_trace(trial_id: int, seed: int, stream_id: int,
-                    result: TraceResult) -> TrialRow:
-    cfg = result.config
-    return TrialRow(
-        trial_id=trial_id,
-        algorithm=cfg.algorithm.value,
-        N=cfg.N,
-        p=cfg.p,
-        seed=seed,
-        stream_id=stream_id,
-        n_active=result.n_active,
-        phase1_end=result.phase1_end,
-        t_eps=result.threshold_times.get("t_eps"),
-        t_one_minus_eps=result.threshold_times.get("t_one_minus_eps"),
-        T_n=result.completion_time,
-        cap_hit=result.cap_hit,
-        trajectory=tuple(result.trajectory) if result.trajectory is not None else None,
-    )
-
-
-def _execute_trial(args) -> TrialRow:
+def _execute_trial(args) -> dict:
+    """One trial's output row: the CSV_COLUMNS, plus its trajectory if one
+    was recorded."""
     config, seed, stream_id, trial_id = args
     result = run(config, RngStream(seed=seed, stream_id=stream_id))
-    return _row_from_trace(trial_id, seed, stream_id, result)
+    row = {"trial_id": trial_id, "algorithm": config.algorithm.value,
+           "N": config.N, "p": config.p, "seed": seed, "stream_id": stream_id,
+           "n_active": result.n_active, "phase1_end": result.phase1_end,
+           **result.threshold_times, "T_n": result.completion_time,
+           "cap_hit": result.cap_hit}
+    if result.trajectory is not None:
+        row["trajectory"] = result.trajectory
+    return row
 
 
 @dataclass(frozen=True)
@@ -230,17 +198,9 @@ class CellSummary:
     stage_means: Optional[Tuple[float, float, float]]
 
     def as_dict(self) -> dict:
-        out = {
-            "algorithm": self.algorithm, "N": self.N, "p": self.p,
-            "trials": self.trials, "cap_hits": self.cap_hits,
-            "mean": self.mean, "stddev": self.stddev,
-            "min": self.min, "max": self.max,
-            "q5": self.q5, "q50": self.q50, "q95": self.q95,
-            "mean_normalized": self.mean_normalized,
-            "theory_constant": self.theory_constant, "ratio": self.ratio,
-        }
-        if self.stage_means is not None:
-            out["stage_means"] = list(self.stage_means)
+        out = asdict(self)
+        if self.stage_means is None:
+            del out["stage_means"]
         return out
 
 
@@ -252,15 +212,15 @@ class SummaryStats:
         return {"cells": [c.as_dict() for c in self.cells]}
 
 
-def _summarize_cell(cell: GridCell, rows: Sequence[TrialRow]) -> CellSummary:
-    T = np.array([r.T_n for r in rows], dtype=np.float64)
-    caps = sum(1 for r in rows if r.cap_hit)
+def _summarize_cell(cell: GridCell, rows: Sequence[dict]) -> CellSummary:
+    T = np.array([r["T_n"] for r in rows], dtype=np.float64)
+    caps = sum(1 for r in rows if r["cap_hit"])
     ln_n = math.log(cell.N) if cell.N > 1 else 0.0
     mean = float(T.mean())
     normalized = mean / ln_n if ln_n > 0 else 0.0
     c_theory = constant(cell.algorithm, cell.p)
-    staged = [(r.t_eps, r.t_one_minus_eps, r.T_n) for r in rows
-              if r.t_eps is not None and r.t_one_minus_eps is not None]
+    staged = [(r["t_eps"], r["t_one_minus_eps"], r["T_n"]) for r in rows
+              if r["t_eps"] is not None and r["t_one_minus_eps"] is not None]
     stage_means = None
     if staged:
         arr = np.array(staged, dtype=np.float64)
@@ -284,18 +244,27 @@ def _summarize_cell(cell: GridCell, rows: Sequence[TrialRow]) -> CellSummary:
     )
 
 
-def _render_csv(rows: Sequence[TrialRow]) -> bytes:
+def _csv_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _render_csv(rows: Sequence[dict]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(row.csv_values())
+        writer.writerow([_csv_value(row[col]) for col in CSV_COLUMNS])
     return buf.getvalue().encode("utf-8")
 
 
-def _render_json(rows: Sequence[TrialRow], summary: SummaryStats) -> bytes:
-    payload = {"rows": [r.json_object() for r in rows],
-               "summary": summary.as_dict()}
+def _render_json(rows: Sequence[dict], summary: SummaryStats) -> bytes:
+    payload = {"rows": rows, "summary": summary.as_dict()}
     return (json.dumps(payload, sort_keys=True, separators=(",", ":"))
             + "\n").encode("utf-8")
 

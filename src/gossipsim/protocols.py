@@ -10,9 +10,9 @@ coupled: identical active sets and an identical randomized warm-up
 """
 from __future__ import annotations
 
-import copy
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,34 +37,6 @@ class TraceResult:
     trajectory: Optional[List[int]] = None
 
 
-class _ThresholdTracker:
-    """First-passage times of the informed count over the stage thresholds,
-    and the count after every step if the config records a trajectory.
-
-    Thresholds are epsilon*p*N and (1-epsilon)*p*N; either may be unreachable
-    in a given trial (the active count is random), in which case the entry
-    stays None. Every run starts from one informed node at step 0.
-    """
-
-    def __init__(self, config: ProtocolConfig) -> None:
-        self.low = config.epsilon * config.p * config.N
-        self.high = (1.0 - config.epsilon) * config.p * config.N
-        self.t_low = self.t_high = None  # steps of the first passages
-        self.trajectory = [] if config.record_trajectory else None
-        self.observe(0, 1)
-
-    def observe(self, t: int, k: int) -> None:
-        if self.t_low is None and k >= self.low:
-            self.t_low = t
-        if self.t_high is None and k >= self.high:
-            self.t_high = t
-        if self.trajectory is not None:
-            self.trajectory.append(k)
-
-    def as_dict(self) -> Dict[str, Optional[int]]:
-        return {"t_eps": self.t_low, "t_one_minus_eps": self.t_high}
-
-
 def step_naive(state: NetworkState, gen: np.random.Generator) -> NetworkState:
     """One random-push round: every informed node targets a uniform node.
 
@@ -79,14 +51,13 @@ def step_naive(state: NetworkState, gen: np.random.Generator) -> NetworkState:
     return state
 
 
-def _push(state: NetworkState, gen: np.random.Generator, n: int, k: int,
-          limit: int, tracker: _ThresholdTracker) -> int:
-    """Push rounds until all n are informed or the clock reaches limit."""
-    while k < n and state.clock < limit:
+def _push(state: NetworkState, gen: np.random.Generator, n: int, limit: int,
+          counts: List[int]) -> None:
+    """Push rounds until all n are informed or the clock reaches limit,
+    appending the informed count after each round to counts."""
+    while counts[-1] < n and state.clock < limit:
         step_naive(state, gen)
-        k = informed_count(state)
-        tracker.observe(state.clock, k)
-    return k
+        counts.append(informed_count(state))
 
 
 def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
@@ -232,51 +203,66 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
 
 
 def _phase2(alg: Algorithm, config: ProtocolConfig, state: NetworkState,
-            n: int, k: int, cap: int, tracker: _ThresholdTracker
-            ) -> Tuple[bool, int]:
+            n: int, k: int, cap: int) -> List[int]:
     """Phase 2 from the state phase 1 left, with k of n active nodes informed.
 
     The engine gives each active uninformed node the step that informs it;
-    those up to the cap are replayed into tracker. Returns (complete, clock).
+    returns the informed count after each phase-2 step up to the last cover
+    or the cap, whichever comes first.
     """
-    end = state.clock
-    budget = cap - end
+    budget = cap - state.clock
     if k >= n or budget <= 0:
-        return k >= n, end
+        return []
     snapshot = (state.active, state.informed)
     _, cover = (_cyclic_phase2_offsets(*snapshot) if alg is Algorithm.CYCLIC
                 else _improved_phase2_offsets(*snapshot, config.segment_length,
                                               config.p, budget))
     covered = cover <= budget
-    complete = bool(covered.all())
-    last = int(cover.max(initial=0)) if complete else budget
-    # the informed count after each phase-2 step
-    running = (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
-               )[1:].tolist()
-    for s, count in enumerate(running, end + 1):
-        tracker.observe(s, count)
-    return complete, end + last
+    last = int(cover.max(initial=0)) if covered.all() else budget
+    return (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
+            )[1:].tolist()
 
 
-def _run_oracle(active: np.ndarray, n: int, cap: int, gen: np.random.Generator,
-                tracker: _ThresholdTracker) -> Tuple[bool, int]:
+def _run_oracle(active: np.ndarray, n: int, cap: int,
+                gen: np.random.Generator) -> List[int]:
     """Coordinated ideal: informed nodes target distinct fresh nodes.
 
     Each round the k informed nodes take the next k never-targeted nodes
     of a pre-shuffled uniform order; active targets become informed. By
     exchangeability of the active labels this has the law of any other
-    coordinated assignment. Returns (complete, clock).
+    coordinated assignment. Returns the informed count after each round.
     """
     fresh = np.arange(1, len(active))
     gen.shuffle(fresh)  # in place: the draws of permutation, without a copy
-    k, pos, t = 1, 0, 0
-    while k < n and t < cap:
+    counts = [1]
+    pos = 0
+    while counts[-1] < n and len(counts) <= cap:
+        k = counts[-1]
         batch = fresh[pos:pos + k]
         pos += k
-        k += int(np.count_nonzero(active[batch]))
-        t += 1
-        tracker.observe(t, k)
-    return k >= n, t
+        counts.append(k + int(np.count_nonzero(active[batch])))
+    return counts
+
+
+def _trace(config: ProtocolConfig, n: int, counts: List[int],
+           phase1_end: Optional[int]) -> TraceResult:
+    """The per-trial record of a run from its informed count after each
+    step (counts[0] = 1, nondecreasing).
+
+    The run ends at the last step, complete when the count reached n. A
+    stage threshold, epsilon*p*N or (1-epsilon)*p*N, is passed at the
+    first step whose count reaches it; a run may end before it does (the
+    active count is random), and its time is then None.
+    """
+    levels = {"t_eps": config.epsilon * config.p * config.N,
+              "t_one_minus_eps": (1.0 - config.epsilon) * config.p * config.N}
+    thresholds = {}
+    for name, level in levels.items():
+        t = bisect_left(counts, level)
+        thresholds[name] = t if t < len(counts) else None
+    return TraceResult(config, n, len(counts) - 1, counts[-1] < n, phase1_end,
+                       thresholds,
+                       counts if config.record_trajectory else None)
 
 
 def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
@@ -292,33 +278,30 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     state = sample_active(config.N, config.p, rng)
     n = int(np.count_nonzero(state.active))
     cap = config.step_cap
-    runs = {}  # algorithm -> (complete, clock, phase1_end, tracker)
+    runs = {}  # algorithm -> (informed counts, phase1_end)
     if Algorithm.ORACLE in algorithms:
-        oracle = _ThresholdTracker(config)
-        runs[Algorithm.ORACLE] = (*_run_oracle(
-            state.active, n, cap, rng.protocol_generator(), oracle), None, oracle)
+        runs[Algorithm.ORACLE] = (_run_oracle(
+            state.active, n, cap, rng.protocol_generator()), None)
     phased = [alg for alg in algorithms
               if alg in (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)]
     naive = Algorithm.NAIVE in algorithms
     if phased or naive:
         gen = rng.protocol_generator()
-        tracker = _ThresholdTracker(config)
+        counts = [1]
         limit = (min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
                  if phased else cap)
-        k = _push(state, gen, n, 1, limit, tracker)
+        _push(state, gen, n, limit, counts)
         end = state.clock
-        for alg in phased:  # a lone run needs no copy of the tracker
-            own = copy.deepcopy(tracker) if len(algorithms) > 1 else tracker
-            runs[alg] = (*_phase2(alg, config, state, n, k, cap, own), end, own)
+        for alg in phased:  # a new list each, so naive's appends stay its own
+            runs[alg] = (counts + _phase2(alg, config, state, n, counts[-1],
+                                          cap), end)
         if naive:
-            k = _push(state, gen, n, k, cap, tracker)
-            runs[Algorithm.NAIVE] = (k >= n, state.clock, None, tracker)
+            _push(state, gen, n, cap, counts)
+            runs[Algorithm.NAIVE] = (counts, None)
     results = {}
     for alg in algorithms:  # in the order asked for
-        complete, t, end, rec = runs[alg]
         cfg = config if alg is config.algorithm else replace(config, algorithm=alg)
-        results[alg] = TraceResult(cfg, n, t, not complete, end, rec.as_dict(),
-                                   rec.trajectory)
+        results[alg] = _trace(cfg, n, *runs[alg])
     return results
 
 

@@ -20,6 +20,8 @@ import pytest
 from gossipsim import harness
 from gossipsim.core import Algorithm
 
+pytestmark = pytest.mark.slow
+
 NAIVE, CYCLIC, IMPROVED = (Algorithm.NAIVE, Algorithm.CYCLIC,
                            Algorithm.IMPROVED_CYCLIC)
 

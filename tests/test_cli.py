@@ -37,6 +37,13 @@ class TestRunCommand:
         assert cli.main(["run", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_value_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path,
+                          grid=[{"algorithm": "naive", "N": "abc", "p": 0.5}])
+        assert cli.main(["run", str(spec)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
 

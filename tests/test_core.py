@@ -110,9 +110,7 @@ class TestProtocolConfig:
 
     def test_overrides(self):
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=64, p=0.5,
-                             segment_length_override=8, max_steps=123,
-                             phase1_slack=0.2)
-        assert cfg.segment_length == 8
+                             max_steps=123, phase1_slack=0.2)
         assert cfg.step_cap == 123
         assert cfg.warmup_slack == 0.2
 
@@ -121,8 +119,6 @@ class TestProtocolConfig:
         {"p": 0.0}, {"p": -0.1}, {"p": 1.5},
         {"phase1_slack": -0.1},
         {"epsilon": 0.0}, {"epsilon": 0.5}, {"epsilon": 0.7},
-        {"segment_length_override": 0},
-        {"segment_length_override": 65},
         {"max_steps": 0},
     ])
     def test_invalid_fields_rejected(self, kwargs):

@@ -52,6 +52,16 @@ class TestExperimentSpec:
         lambda d: d.update(trials_per_cell=0),
         lambda d: d.update(format="parquet"),
         lambda d: d.update(epsilon=0.9),
+        # malformed values: unconvertible, or not integral where an
+        # integer is needed
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": "abc", "p": 0.5}]),
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": None, "p": 0.5}]),
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": 2.5, "p": 0.5}]),
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": True, "p": 0.5}]),
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": 8, "p": "x"}]),
+        lambda d: d.update(trials_per_cell="x"),
+        lambda d: d.update(base_seed=1.5),
+        lambda d: d.update(epsilon=None),
     ])
     def test_invalid_specs_rejected(self, tmp_path, mutate):
         data = spec_dict(tmp_path / "out.csv")

@@ -20,10 +20,10 @@ from gossipsim.core import (
 from gossipsim.protocols import (
     TraceResult,
     _UNSET,
-    _ThresholdTracker,
     _cyclic_phase2_offsets,
     _improved_phase2_offsets,
     _segment_census,
+    _trace,
     run,
     run_coupled,
     step_naive,
@@ -122,13 +122,14 @@ class TestRunNaive:
         assert result.n_active == 1
 
 
-def reference_cyclic_phase2(state, n, tracker, cap):
+def reference_cyclic_phase2(state, n, counts, cap):
     """Step-by-step cyclic sweeps: a slow reference for the closed form.
 
     A node informed at phase-2 age s (or joining later at age 0) targets
     (own index + age) mod N each round, walking forward around the ring.
-    Returns the informed count and, per node, the phase-2 step that
-    informed it (0 if informed before phase 2, -1 if never).
+    Appends the informed count after each step to counts. Returns the
+    informed count and, per node, the phase-2 step that informed it (0 if
+    informed before phase 2, -1 if never).
     """
     N = state.node_count
     ages = np.zeros(N, dtype=np.int64)
@@ -145,8 +146,16 @@ def reference_cyclic_phase2(state, n, tracker, cap):
         informed_at[targets[hits]] = step
         state.clock += 1
         k = informed_count(state)
-        tracker.observe(state.clock, k)
+        counts.append(k)
     return k, informed_at
+
+
+def first_passage(counts, level):
+    """The first step whose informed count reaches level, or None."""
+    for t, k in enumerate(counts):
+        if k >= level:
+            return t
+    return None
 
 
 def reference_run_cyclic(config, rng):
@@ -155,22 +164,25 @@ def reference_run_cyclic(config, rng):
     state = sample_active(config.N, config.p, rng)
     gen = rng.protocol_generator()
     n = int(np.count_nonzero(state.active))
-    tracker = _ThresholdTracker(config)  # records the trajectory, if any
+    counts = [1]  # the informed count after each step
     cap = config.step_cap
     limit = min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
     k = 1
     while k < n and state.clock < limit:
         step_naive(state, gen)
         k = informed_count(state)
-        tracker.observe(state.clock, k)
+        counts.append(k)
     phase1_end = state.clock
     if k < n:
-        k, _ = reference_cyclic_phase2(state, n, tracker, cap)
-    return TraceResult(config=config, n_active=n,
-                       completion_time=state.clock, cap_hit=k < n,
-                       phase1_end=phase1_end,
-                       threshold_times=tracker.as_dict(),
-                       trajectory=tracker.trajectory)
+        k, _ = reference_cyclic_phase2(state, n, counts, cap)
+    eps, p, N = config.epsilon, config.p, config.N
+    return TraceResult(
+        config=config, n_active=n, completion_time=state.clock, cap_hit=k < n,
+        phase1_end=phase1_end,
+        threshold_times={"t_eps": first_passage(counts, eps * p * N),
+                         "t_one_minus_eps": first_passage(
+                             counts, (1.0 - eps) * p * N)},
+        trajectory=counts if config.record_trajectory else None)
 
 
 class TestCyclicPhase2:
@@ -210,10 +222,8 @@ class TestCyclicPhase2:
         informed[0] = True
         au, cover = _cyclic_phase2_offsets(active, informed)
         state = make_state(active, informed.copy())
-        cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=1.0)
         n = int(active.sum())
-        k, informed_at = reference_cyclic_phase2(
-            state, n, _ThresholdTracker(cfg), cap=N)
+        k, informed_at = reference_cyclic_phase2(state, n, [], cap=N)
         assert k == n
         assert np.array_equal(au, np.flatnonzero(active & ~informed))
         assert np.array_equal(cover, informed_at[au])
@@ -794,3 +804,41 @@ class TestLongestUninformedRun:
             best = max(best, length)
         _, cover = _cyclic_phase2_offsets(state.active, state.informed)
         assert cover.max(initial=0) == best
+
+
+class TestTrace:
+    """_trace against linear scans of the informed counts."""
+
+    def test_levels_reached_exactly_or_never(self):
+        # levels 0.1 * 0.5 * 100 = 5.0 and 45.0: a count equal to a level
+        # passes it, and a run ending below a level leaves it None
+        config = ProtocolConfig(algorithm=Algorithm.NAIVE, N=100, p=0.5)
+        got = _trace(config, 40, [1, 2, 5, 5, 8], 3)
+        assert got.threshold_times == {"t_eps": 2, "t_one_minus_eps": None}
+        assert (got.completion_time, got.cap_hit, got.phase1_end,
+                got.trajectory) == (4, True, 3, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200), st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+           st.one_of(st.sampled_from([0.125, 0.25]), st.floats(0.01, 0.49)),
+           st.booleans(), st.data())
+    def test_matches_linear_scan(self, N, p, epsilon, record, data):
+        n = data.draw(st.integers(1, N), label="n_active")
+        counts = [1]  # nondecreasing, ending at the first count to reach n
+        for gain in data.draw(st.lists(st.integers(0, N), max_size=40),
+                              label="gains"):
+            if counts[-1] >= n:
+                break
+            counts.append(min(n, counts[-1] + gain))
+        config = ProtocolConfig(algorithm=Algorithm.NAIVE, N=N, p=p,
+                                epsilon=epsilon, record_trajectory=record)
+        got = _trace(config, n, counts, None)
+        done = first_passage(counts, n)
+        assert got.completion_time == (len(counts) - 1 if done is None
+                                       else done)
+        assert got.cap_hit == (done is None)
+        assert got.threshold_times == {
+            "t_eps": first_passage(counts, epsilon * p * N),
+            "t_one_minus_eps": first_passage(counts, (1.0 - epsilon) * p * N)}
+        assert got.trajectory == (counts if record else None)
+        assert (got.n_active, got.phase1_end) == (n, None)
