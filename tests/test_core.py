@@ -119,6 +119,7 @@ class TestProtocolConfig:
         {"p": 0.0}, {"p": -0.1}, {"p": 1.5},
         {"phase1_slack": -0.1},
         {"epsilon": 0.0}, {"epsilon": 0.5}, {"epsilon": 0.7},
+        {"epsilon": -0.1}, {"max_steps": -5},
         {"max_steps": 0},
     ])
     def test_invalid_fields_rejected(self, kwargs):
