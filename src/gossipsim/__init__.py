@@ -4,13 +4,11 @@ randomized broadcast protocols on partially active complete networks."""
 from .core import (
     Algorithm,
     ConfigError,
-    NetworkState,
     ProtocolConfig,
     RngStream,
     default_max_steps,
     default_phase1_slack,
     default_segment_length,
-    informed_count,
     phase1_steps,
     sample_active,
 )
@@ -41,9 +39,9 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algorithm", "ConfigError", "NetworkState", "ProtocolConfig", "RngStream",
+    "Algorithm", "ConfigError", "ProtocolConfig", "RngStream",
     "default_max_steps", "default_phase1_slack", "default_segment_length",
-    "informed_count", "phase1_steps", "sample_active",
+    "phase1_steps", "sample_active",
     "TraceResult", "run", "run_coupled", "step_naive",
     "ExactLaw", "TheoryConstants", "constant", "cyclic_beats_naive",
     "exact_naive_law", "exact_oracle_law", "lower_bound_tail",

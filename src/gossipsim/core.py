@@ -1,15 +1,20 @@
-"""Network state, seeded randomness, and shared configuration.
+"""Active-set sampling, seeded randomness, and shared configuration.
 
 The model: N nodes on a complete network, each node independently active
 with probability p (node 0 is forced active and starts informed). Time is
 synchronous rounds; informed active nodes push one message per round. A
 protocol run ends when every active node is informed.
+
+A trial's network is two boolean arrays of length N, the active mask and
+the informed mask (a subset of it); its clock and informed count are the
+length and last entry of its list of informed counts, one per round.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,9 +24,7 @@ __all__ = [
     "ConfigError",
     "RngStream",
     "ProtocolConfig",
-    "NetworkState",
     "sample_active",
-    "informed_count",
     "phase1_steps",
     "default_phase1_slack",
     "default_segment_length",
@@ -136,8 +139,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.algorithm, Algorithm):
             raise ConfigError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
-        if int(self.N) < 1:
-            raise ConfigError(f"N must be a positive integer, got {self.N}")
+        _node_count(self.N)
         if not (0.0 < float(self.p) <= 1.0):
             raise ConfigError(f"p must lie in (0, 1], got {self.p}")
         if self.phase1_slack is not None and float(self.phase1_slack) < 0.0:
@@ -165,33 +167,20 @@ class ProtocolConfig:
         return default_max_steps(self.N, self.p)
 
 
-@dataclass
-class NetworkState:
-    """Ground truth for one trial: activity and knowledge bitmaps plus a clock.
-
-    Invariants: informed is a subset of active; node 0 is active and informed;
-    informed only grows; clock advances by one per protocol step.
-    """
-
-    node_count: int
-    active: np.ndarray
-    informed: np.ndarray
-    clock: int = 0
+def _node_count(N) -> int:
+    """N as an int; ConfigError unless it is a positive integer (numpy
+    integers are; a bool or a float is not, even when integral)."""
+    if isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 1:
+        return int(N)
+    raise ConfigError(f"N must be a positive integer, got {N}")
 
 
-def sample_active(N: int, p: float, rng: RngStream) -> NetworkState:
-    """Sample the active set: node 0 forced active and informed, others i.i.d."""
-    if int(N) < 1:
-        raise ConfigError(f"N must be a positive integer, got {N}")
+def sample_active(N: int, p: float, rng: RngStream) -> np.ndarray:
+    """The active mask: node 0 forced active, the others i.i.d. with
+    probability p."""
+    N = _node_count(N)
     if not (0.0 < float(p) <= 1.0):
         raise ConfigError(f"p must lie in (0, 1], got {p}")
-    gen = rng.active_generator()
-    active = gen.random(int(N)) < float(p)
+    active = rng.active_generator().random(N) < float(p)
     active[0] = True
-    informed = np.zeros(int(N), dtype=bool)
-    informed[0] = True
-    return NetworkState(node_count=int(N), active=active, informed=informed, clock=0)
-
-
-def informed_count(state: NetworkState) -> int:
-    return int(np.count_nonzero(state.informed))
+    return active

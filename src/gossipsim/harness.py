@@ -86,12 +86,14 @@ _CELL_KEYS = {"algorithm", "N", "p"}
 
 
 def _spec_value(data: dict, key: str, kind: type):
-    """data[key] converted by kind; ConfigError if it does not convert, or
-    if kind is int and the value is a bool or not integral."""
+    """data[key] converted by kind; ConfigError if it does not convert, if
+    kind is bool or str and the value is not already one, or if kind is
+    int and the value is a bool or not integral."""
     value = data[key]
     try:
-        if kind is int and (isinstance(value, bool) or (
-                isinstance(value, float) and not value.is_integer())):
+        if (kind in (bool, str) and not isinstance(value, kind)) or (
+                kind is int and (isinstance(value, bool) or (
+                    isinstance(value, float) and not value.is_integer()))):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -582,8 +584,8 @@ def check_active_concentration(samples: int = 10 ** 3,
     spread = N ** (2.0 / 3.0)
     outliers = 0
     for i in range(samples):
-        state = sample_active(N, p, RngStream(seed=seed, stream_id=i))
-        n = int(np.count_nonzero(state.active))
+        active = sample_active(N, p, RngStream(seed=seed, stream_id=i))
+        n = int(np.count_nonzero(active))
         if abs(n - p * N) > spread:
             outliers += 1
     frac = outliers / samples

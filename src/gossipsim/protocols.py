@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (Algorithm, NetworkState, ProtocolConfig, RngStream,
-                   informed_count, phase1_steps, sample_active)
+from .core import (Algorithm, ProtocolConfig, RngStream, phase1_steps,
+                   sample_active)
 
 __all__ = ["TraceResult", "step_naive", "run_coupled", "run"]
 
@@ -37,27 +37,24 @@ class TraceResult:
     trajectory: Optional[List[int]] = None
 
 
-def step_naive(state: NetworkState, gen: np.random.Generator) -> NetworkState:
-    """One random-push round: every informed node targets a uniform node.
-
-    Targets are drawn as a single batch in node-index order; self-sends are
-    allowed and simply wasted. Active, uninformed targets become informed.
-    """
-    k = informed_count(state)
-    targets = gen.integers(0, state.node_count, size=k)
-    hits = state.active[targets] & ~state.informed[targets]
-    state.informed[targets[hits]] = True
-    state.clock += 1
-    return state
+def step_naive(active: np.ndarray, informed: np.ndarray, k: int,
+               gen: np.random.Generator) -> int:
+    """One random-push round on boolean masks of length N: each of the k
+    nodes of informed (a subset of active) targets a uniform node, drawn
+    as one batch gen.integers(0, N, size=k); self-sends are wasted. Active,
+    uninformed targets become informed in place. Returns the new count."""
+    targets = gen.integers(0, len(active), size=k)
+    hits = active[targets] & ~informed[targets]
+    informed[targets[hits]] = True
+    return int(np.count_nonzero(informed))
 
 
-def _push(state: NetworkState, gen: np.random.Generator, n: int, limit: int,
-          counts: List[int]) -> None:
-    """Push rounds until all n are informed or the clock reaches limit,
-    appending the informed count after each round to counts."""
-    while counts[-1] < n and state.clock < limit:
-        step_naive(state, gen)
-        counts.append(informed_count(state))
+def _push(active: np.ndarray, informed: np.ndarray, gen: np.random.Generator,
+          n: int, limit: int, counts: List[int]) -> None:
+    """Push rounds until all n are informed or the clock, len(counts) - 1,
+    reaches limit, appending the informed count after each round to counts."""
+    while counts[-1] < n and len(counts) <= limit:
+        counts.append(step_naive(active, informed, counts[-1], gen))
 
 
 def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
@@ -202,21 +199,23 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
     return au, cover
 
 
-def _phase2(alg: Algorithm, config: ProtocolConfig, state: NetworkState,
-            n: int, k: int, cap: int) -> List[int]:
-    """Phase 2 from the state phase 1 left, with k of n active nodes informed.
+def _phase2(alg: Algorithm, config: ProtocolConfig, active: np.ndarray,
+            informed: np.ndarray, n: int, counts: List[int],
+            cap: int) -> List[int]:
+    """Phase 2 from the masks phase 1 left; counts is phase 1's informed
+    count after each step, so its last entry is k and the clock len - 1.
 
     The engine gives each active uninformed node the step that informs it;
     returns the informed count after each phase-2 step up to the last cover
     or the cap, whichever comes first.
     """
-    budget = cap - state.clock
+    k = counts[-1]
+    budget = cap - (len(counts) - 1)
     if k >= n or budget <= 0:
         return []
-    snapshot = (state.active, state.informed)
-    _, cover = (_cyclic_phase2_offsets(*snapshot) if alg is Algorithm.CYCLIC
-                else _improved_phase2_offsets(*snapshot, config.segment_length,
-                                              config.p, budget))
+    _, cover = (_cyclic_phase2_offsets(active, informed)
+                if alg is Algorithm.CYCLIC else _improved_phase2_offsets(
+                    active, informed, config.segment_length, config.p, budget))
     covered = cover <= budget
     last = int(cover.max(initial=0)) if covered.all() else budget
     return (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
@@ -273,30 +272,32 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     run() of its algorithm alone. The oracle draws its targets from a fresh
     protocol generator; the others share one phase 1 on another, run to the
     phased schedule (the cap for naive alone). Each phase-2 engine starts
-    from the state it leaves, and naive then keeps stepping.
+    from the network it leaves, and naive then keeps stepping.
     """
-    state = sample_active(config.N, config.p, rng)
-    n = int(np.count_nonzero(state.active))
+    active = sample_active(config.N, config.p, rng)
+    n = int(np.count_nonzero(active))
     cap = config.step_cap
     runs = {}  # algorithm -> (informed counts, phase1_end)
     if Algorithm.ORACLE in algorithms:
         runs[Algorithm.ORACLE] = (_run_oracle(
-            state.active, n, cap, rng.protocol_generator()), None)
+            active, n, cap, rng.protocol_generator()), None)
     phased = [alg for alg in algorithms
               if alg in (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)]
     naive = Algorithm.NAIVE in algorithms
     if phased or naive:
+        informed = np.zeros(len(active), dtype=bool)
+        informed[0] = True
         gen = rng.protocol_generator()
         counts = [1]
         limit = (min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
                  if phased else cap)
-        _push(state, gen, n, limit, counts)
-        end = state.clock
+        _push(active, informed, gen, n, limit, counts)
+        phase1_end = len(counts) - 1
         for alg in phased:  # a new list each, so naive's appends stay its own
-            runs[alg] = (counts + _phase2(alg, config, state, n, counts[-1],
-                                          cap), end)
+            runs[alg] = (counts + _phase2(alg, config, active, informed, n,
+                                          counts, cap), phase1_end)
         if naive:
-            _push(state, gen, n, cap, counts)
+            _push(active, informed, gen, n, cap, counts)
             runs[Algorithm.NAIVE] = (counts, None)
     results = {}
     for alg in algorithms:  # in the order asked for

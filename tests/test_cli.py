@@ -43,6 +43,10 @@ class TestRunCommand:
         assert cli.main(["run", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
+        spec = write_spec(tmp_path, record_trajectory="false")
+        assert cli.main(["run", str(spec)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

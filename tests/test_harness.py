@@ -62,6 +62,14 @@ class TestExperimentSpec:
         lambda d: d.update(trials_per_cell="x"),
         lambda d: d.update(base_seed=1.5),
         lambda d: d.update(epsilon=None),
+        # a bool or a string is taken only as a JSON bool or string
+        lambda d: d.update(record_trajectory="false"),
+        lambda d: d.update(record_trajectory=1),
+        lambda d: d.update(record_trajectory=None),
+        lambda d: d.update(output_path=None),
+        lambda d: d.update(output_path=7),
+        lambda d: d.update(format=["csv"]),
+        lambda d: d.update(grid=[{"algorithm": None, "N": 8, "p": 0.5}]),
     ])
     def test_invalid_specs_rejected(self, tmp_path, mutate):
         data = spec_dict(tmp_path / "out.csv")

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from gossipsim.core import (
     Algorithm,
-    NetworkState,
     ProtocolConfig,
     RngStream,
     default_max_steps,
     default_phase1_slack,
     default_segment_length,
-    informed_count,
     phase1_steps,
     sample_active,
 )
+from gossipsim import protocols
 from gossipsim.protocols import (
     TraceResult,
     _UNSET,
@@ -31,17 +30,11 @@ from gossipsim.protocols import (
 from gossipsim.theory import ExactLaw, exact_naive_law, exact_oracle_law, naive_step_kernel
 
 
-def make_state(active, informed):
-    active = np.asarray(active, dtype=bool)
-    informed = np.asarray(informed, dtype=bool)
-    return NetworkState(node_count=len(active), active=active,
-                        informed=informed, clock=0)
-
-
 def fully_active(N, informed_idx):
+    """The (active, informed) masks of an all-active network."""
     informed = np.zeros(N, dtype=bool)
     informed[list(informed_idx)] = True
-    return make_state(np.ones(N, dtype=bool), informed)
+    return np.ones(N, dtype=bool), informed
 
 
 class TestStepNaive:
@@ -50,9 +43,8 @@ class TestStepNaive:
         hits = 0
         reps = 4000
         for _ in range(reps):
-            state = fully_active(2, [0])
-            step_naive(state, gen)
-            hits += informed_count(state) - 1
+            active, informed = fully_active(2, [0])
+            hits += step_naive(active, informed, 1, gen) - 1
         assert abs(hits / reps - 0.5) < 0.03
 
     def test_three_node_two_thirds(self):
@@ -60,9 +52,8 @@ class TestStepNaive:
         hits = 0
         reps = 4000
         for _ in range(reps):
-            state = fully_active(3, [0])
-            step_naive(state, gen)
-            hits += informed_count(state) - 1
+            active, informed = fully_active(3, [0])
+            hits += step_naive(active, informed, 1, gen) - 1
         assert abs(hits / reps - 2 / 3) < 0.03
 
     def test_one_step_law_matches_kernel(self):
@@ -70,12 +61,10 @@ class TestStepNaive:
         N, k = 16, 3
         gen = RngStream(seed=13).protocol_generator()
         reps = 10 ** 5
-        template = fully_active(N, range(k))
+        active, template = fully_active(N, range(k))
         counts = np.zeros(N - k + 1, dtype=np.int64)
         for _ in range(reps):
-            state = make_state(template.active, template.informed.copy())
-            step_naive(state, gen)
-            counts[informed_count(state) - k] += 1
+            counts[step_naive(active, template.copy(), k, gen) - k] += 1
         exact = naive_step_kernel(N, k, N - k)
         tv = 0.5 * np.abs(counts / reps - exact).sum()
         assert tv <= 0.02
@@ -86,26 +75,66 @@ class TestStepNaive:
         active[[0, 3, 7]] = True
         informed = np.zeros(20, dtype=bool)
         informed[0] = True
-        state = make_state(active, informed)
+        k = 1
         for _ in range(50):
-            step_naive(state, gen)
-        assert not np.any(state.informed & ~state.active)
-        assert state.clock == 50
+            k = step_naive(active, informed, k, gen)
+        assert not np.any(informed & ~active)
+        assert k == np.count_nonzero(informed)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 64), st.integers(0, 10 ** 6))
     def test_informed_monotone(self, N, seed):
         rng = RngStream(seed=seed)
-        state = sample_active(N, 0.6, rng)
+        active = sample_active(N, 0.6, rng)
+        informed = np.zeros(N, dtype=bool)
+        informed[0] = True
         gen = rng.protocol_generator()
-        previous = state.informed.copy()
+        previous = informed.copy()
+        k = 1
         for _ in range(5):
-            step_naive(state, gen)
-            assert np.all(state.informed >= previous)
-            previous = state.informed.copy()
+            k = step_naive(active, informed, k, gen)
+            assert np.all(informed >= previous)
+            previous = informed.copy()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 32))
+    def test_round_contract(self, N, p_active, p_informed, seed):
+        # any active mask and informed subset of it: the round is exactly
+        # one gen.integers(0, N, size=k) batch, the draw order that
+        # (seed, stream_id) coupling rests on, scattered onto active nodes
+        masks = np.random.default_rng(seed)
+        active = masks.random(N) < p_active
+        informed = active & (masks.random(N) < p_informed)
+        before = informed.copy()
+        k = int(np.count_nonzero(informed))
+        gen = np.random.Generator(np.random.PCG64(seed))
+        twin = np.random.Generator(np.random.PCG64(seed))
+        count = step_naive(active, informed, k, gen)
+        targets = twin.integers(0, N, size=k)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert count == np.count_nonzero(informed)
+        assert not np.any(informed & ~active)
+        expected = before.copy()
+        expected[targets[active[targets]]] = True
+        assert np.array_equal(informed, expected)
 
 
 class TestRunNaive:
+    def test_time_at_full_activity(self):
+        # at p = 1 naive push takes log2 N + ln N + O(1) rounds (Frieze and
+        # Grimmett 1985; Pittel 1987): the excess over that stays bounded
+        # and does not grow along the ladder
+        excess, se = [], []
+        for N in (2 ** 12, 2 ** 14, 2 ** 16):
+            cfg = ProtocolConfig(algorithm=Algorithm.NAIVE, N=N, p=1.0)
+            T = np.array([run(cfg, RngStream(seed=4242, stream_id=i))
+                          .completion_time for i in range(300)])
+            excess.append(T.mean() - (math.log2(N) + math.log(N)))
+            se.append(T.std(ddof=1) / math.sqrt(len(T)))
+            assert -1.0 <= excess[-1] <= 3.0, (N, excess[-1])
+        assert excess[-1] - excess[0] <= 3.0 * math.hypot(se[0], se[-1]), excess
+
     def test_full_law_two_nodes(self):
         cfg = ProtocolConfig(algorithm=Algorithm.NAIVE, N=2, p=1.0)
         samples = np.array([
@@ -122,30 +151,31 @@ class TestRunNaive:
         assert result.n_active == 1
 
 
-def reference_cyclic_phase2(state, n, counts, cap):
+def reference_cyclic_phase2(active, informed, n, counts, cap):
     """Step-by-step cyclic sweeps: a slow reference for the closed form.
 
     A node informed at phase-2 age s (or joining later at age 0) targets
     (own index + age) mod N each round, walking forward around the ring.
-    Appends the informed count after each step to counts. Returns the
-    informed count and, per node, the phase-2 step that informed it (0 if
-    informed before phase 2, -1 if never).
+    counts holds the informed count after each step so far, its last entry
+    the count of informed, and len(counts) - 1 is the clock; the informed
+    count after each phase-2 step is appended to it until n or the cap.
+    Returns the informed count and, per node, the phase-2 step that
+    informed it (0 if informed before phase 2, -1 if never).
     """
-    N = state.node_count
+    N = len(active)
     ages = np.zeros(N, dtype=np.int64)
-    informed_at = np.where(state.informed, 0, -1)
-    k = informed_count(state)
+    informed_at = np.where(informed, 0, -1)
+    k = counts[-1]
     step = 0
-    while k < n and state.clock < cap:
-        senders = np.flatnonzero(state.informed)
+    while k < n and len(counts) <= cap:
+        senders = np.flatnonzero(informed)
         ages[senders] += 1
         targets = (senders + ages[senders]) % N
-        hits = state.active[targets] & ~state.informed[targets]
-        state.informed[targets[hits]] = True
+        hits = active[targets] & ~informed[targets]
+        informed[targets[hits]] = True
         step += 1
         informed_at[targets[hits]] = step
-        state.clock += 1
-        k = informed_count(state)
+        k = int(np.count_nonzero(informed))
         counts.append(k)
     return k, informed_at
 
@@ -161,23 +191,25 @@ def first_passage(counts, level):
 def reference_run_cyclic(config, rng):
     """A cyclic trial: step_naive to the phase-1 schedule, then phase 2
     stepped by reference_cyclic_phase2."""
-    state = sample_active(config.N, config.p, rng)
+    active = sample_active(config.N, config.p, rng)
+    informed = np.zeros(config.N, dtype=bool)
+    informed[0] = True
     gen = rng.protocol_generator()
-    n = int(np.count_nonzero(state.active))
+    n = int(np.count_nonzero(active))
     counts = [1]  # the informed count after each step
     cap = config.step_cap
     limit = min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
     k = 1
-    while k < n and state.clock < limit:
-        step_naive(state, gen)
-        k = informed_count(state)
+    while k < n and len(counts) <= limit:
+        k = step_naive(active, informed, k, gen)
         counts.append(k)
-    phase1_end = state.clock
+    phase1_end = len(counts) - 1
     if k < n:
-        k, _ = reference_cyclic_phase2(state, n, counts, cap)
+        k, _ = reference_cyclic_phase2(active, informed, n, counts, cap)
     eps, p, N = config.epsilon, config.p, config.N
     return TraceResult(
-        config=config, n_active=n, completion_time=state.clock, cap_hit=k < n,
+        config=config, n_active=n, completion_time=len(counts) - 1,
+        cap_hit=k < n,
         phase1_end=phase1_end,
         threshold_times={"t_eps": first_passage(counts, eps * p * N),
                          "t_one_minus_eps": first_passage(
@@ -190,14 +222,13 @@ class TestCyclicPhase2:
         # all active, uninformed run of length g: exactly g further steps
         for g in (1, 3, 5):
             N = 12
-            state = fully_active(N, [i for i in range(N) if not 4 <= i < 4 + g])
-            _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+            _, cover = _cyclic_phase2_offsets(
+                *fully_active(N, [i for i in range(N) if not 4 <= i < 4 + g]))
             clock = int(cover.max())
             assert clock == g
 
     def test_strict_progress_until_complete(self):
-        state = fully_active(30, [0])
-        _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+        _, cover = _cyclic_phase2_offsets(*fully_active(30, [0]))
         trajectory = [1] + (1 + np.bincount(cover).cumsum()[1:]).tolist()
         assert trajectory[-1] == 30
         assert all(b > a for a, b in zip(trajectory, trajectory[1:]))
@@ -221,9 +252,9 @@ class TestCyclicPhase2:
         informed = active & (gen.random(N) < p_informed)
         informed[0] = True
         au, cover = _cyclic_phase2_offsets(active, informed)
-        state = make_state(active, informed.copy())
         n = int(active.sum())
-        k, informed_at = reference_cyclic_phase2(state, n, [], cap=N)
+        k, informed_at = reference_cyclic_phase2(
+            active, informed.copy(), n, [int(informed.sum())], cap=N)
         assert k == n
         assert np.array_equal(au, np.flatnonzero(active & ~informed))
         assert np.array_equal(cover, informed_at[au])
@@ -442,16 +473,19 @@ def sequential_phase2(active, informed, ell, p, budget):
 
 
 def post_phase1_state(N, p, stream):
-    """The network as the improved protocol's warm-up leaves it."""
+    """The (active, informed) masks as the improved protocol's warm-up
+    leaves them, and the warm-up's informed counts."""
     rng = RngStream(seed=31, stream_id=stream)
-    state = sample_active(N, p, rng)
+    active = sample_active(N, p, rng)
+    informed = np.zeros(N, dtype=bool)
+    informed[0] = True
     gen = rng.protocol_generator()
-    n = int(np.count_nonzero(state.active))
-    for _ in range(phase1_steps(N, p, default_phase1_slack(N))):
-        if informed_count(state) >= n:
-            break
-        step_naive(state, gen)
-    return state
+    n = int(np.count_nonzero(active))
+    counts = [1]
+    while (counts[-1] < n
+           and len(counts) <= phase1_steps(N, p, default_phase1_slack(N))):
+        counts.append(step_naive(active, informed, counts[-1], gen))
+    return active, informed, counts
 
 
 def engine_offsets(active, informed, ell, p, budget):
@@ -555,13 +589,13 @@ class TestImprovedPhase2:
     @pytest.mark.parametrize("N", [2 ** 12, 2 ** 14])
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.8])
     def test_matches_sequential_on_warmed_up_networks(self, N, p):
-        state = post_phase1_state(N, p, stream=int(10 * p))
-        budget = default_max_steps(N, p) - state.clock
+        active, informed, counts = post_phase1_state(N, p, stream=int(10 * p))
+        budget = default_max_steps(N, p) - (len(counts) - 1)
         for ell in (default_segment_length(N), 2, 8):
             au, cover = _improved_phase2_offsets(
-                state.active, state.informed, ell, p, budget)
+                active, informed, ell, p, budget)
             ref_au, ref_cover = sequential_phase2(
-                state.active, state.informed, ell, p, budget)
+                active, informed, ell, p, budget)
             assert np.array_equal(au, ref_au), (N, p, ell)
             assert np.array_equal(cover, ref_cover), (N, p, ell)
 
@@ -773,6 +807,28 @@ class TestRunCoupled:
         result = run_coupled(config, (Algorithm.CYCLIC,), RngStream(seed=3))
         assert result[Algorithm.CYCLIC].config is config
 
+    def test_layers_called_through_module_globals(self, monkeypatch):
+        # per-layer tracing wraps protocols.sample_active and
+        # protocols.step_naive; a local binding would bypass the wrappers
+        calls = {"sample_active": 0, "step_naive": 0}
+
+        def counting(name):
+            original = getattr(protocols, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(protocols, name, counting(name))
+        config = ProtocolConfig(algorithm=Algorithm.NAIVE, N=4096, p=0.5)
+        result = run_coupled(config, (Algorithm.NAIVE, Algorithm.CYCLIC),
+                             RngStream(seed=43))
+        assert calls["sample_active"] == 1
+        assert calls["step_naive"] == result[Algorithm.NAIVE].completion_time
+        assert calls["step_naive"] > result[Algorithm.CYCLIC].phase1_end > 0
+
 
 class TestLongestUninformedRun:
     # on a fully active ring the last node of the longest uninformed run is
@@ -786,23 +842,22 @@ class TestLongestUninformedRun:
         (5, [2, 3], 3),
     ])
     def test_fixtures(self, N, informed_idx, expected):
-        state = fully_active(N, informed_idx)
-        _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+        _, cover = _cyclic_phase2_offsets(*fully_active(N, informed_idx))
         assert cover.max(initial=0) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 40), st.data())
     def test_matches_rotation_brute_force(self, N, data):
         informed_idx = data.draw(st.sets(st.integers(0, N - 1), min_size=1))
-        state = fully_active(N, sorted(informed_idx))
-        flags = state.informed.tolist()
+        active, informed = fully_active(N, sorted(informed_idx))
+        flags = informed.tolist()
         best = 0
         for start in range(N):
             length = 0
             while length < N and not flags[(start + length) % N]:
                 length += 1
             best = max(best, length)
-        _, cover = _cyclic_phase2_offsets(state.active, state.informed)
+        _, cover = _cyclic_phase2_offsets(active, informed)
         assert cover.max(initial=0) == best
 
 
