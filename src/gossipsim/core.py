@@ -131,7 +131,6 @@ class ProtocolConfig:
     algorithm: Algorithm
     N: int
     p: float
-    phase1_slack: Optional[float] = None
     epsilon: float = 0.1
     max_steps: Optional[int] = None
     record_trajectory: bool = False
@@ -139,22 +138,14 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.algorithm, Algorithm):
             raise ConfigError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
-        _node_count(self.N)
-        if not (0.0 < float(self.p) <= 1.0):
+        _positive_int(self.N, "N")
+        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
+                or not 0.0 < self.p <= 1.0):
             raise ConfigError(f"p must lie in (0, 1], got {self.p}")
-        if self.phase1_slack is not None and float(self.phase1_slack) < 0.0:
-            raise ConfigError(f"phase1_slack must be >= 0, got {self.phase1_slack}")
         if not (0.0 < float(self.epsilon) < 0.5):
             raise ConfigError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-        if self.max_steps is not None and int(self.max_steps) < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-
-    @property
-    def warmup_slack(self) -> float:
-        """The explicit phase1_slack, else the N-derived default."""
-        if self.phase1_slack is not None:
-            return float(self.phase1_slack)
-        return default_phase1_slack(self.N)
+        if self.max_steps is not None:
+            _positive_int(self.max_steps, "max_steps")
 
     @property
     def segment_length(self) -> int:
@@ -167,18 +158,19 @@ class ProtocolConfig:
         return default_max_steps(self.N, self.p)
 
 
-def _node_count(N) -> int:
-    """N as an int; ConfigError unless it is a positive integer (numpy
+def _positive_int(value, name: str) -> int:
+    """value as an int; ConfigError unless it is a positive integer (numpy
     integers are; a bool or a float is not, even when integral)."""
-    if isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 1:
-        return int(N)
-    raise ConfigError(f"N must be a positive integer, got {N}")
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1):
+        return int(value)
+    raise ConfigError(f"{name} must be a positive integer, got {value}")
 
 
 def sample_active(N: int, p: float, rng: RngStream) -> np.ndarray:
     """The active mask: node 0 forced active, the others i.i.d. with
     probability p."""
-    N = _node_count(N)
+    N = _positive_int(N, "N")
     if not (0.0 < float(p) <= 1.0):
         raise ConfigError(f"p must lie in (0, 1], got {p}")
     active = rng.active_generator().random(N) < float(p)

@@ -2,9 +2,10 @@
 
 run_experiment executes a declarative ExperimentSpec and persists one raw
 row per trial; convergence_sweep tabulates normalized completion times
-over an N ladder; verify_suite bundles the statistical and exactness
-checks that gate the simulator (the same functions back the acceptance
-test suite). Output is a pure function of the spec: identical specs give
+over an N ladder. The check_* functions are the statistical and
+exactness checks that gate the simulator, each on fixed seeds and sizes;
+verify_suite runs them at two levels and the acceptance tests call them
+one by one. Output is a pure function of the spec: identical specs give
 byte-identical files.
 """
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "CheckResult",
     "VerifyReport",
     "verify_suite",
-    "acceptance_checks",
 ]
 
 TRAJECTORY_RECORD_MAX_N = 2 ** 16
@@ -66,6 +66,13 @@ _BAND_CEILING = {Algorithm.NAIVE: 1.2, Algorithm.CYCLIC: 1.2,
                  Algorithm.IMPROVED_CYCLIC: 1.25}
 _LADDER = (2 ** 14, 2 ** 17, 2 ** 20)
 _LADDER_TRIALS = 100
+_DOMINATION_P = (0.3, 0.5, 0.8)
+# law checks at p = 0.5: algorithm -> (exact law, ((N, ensemble seed), ...))
+_LAW_CASES = {
+    Algorithm.ORACLE: (theory.exact_oracle_law, ((8, ACCEPTANCE_SEED),)),
+    Algorithm.NAIVE: (theory.exact_naive_law, ((2, ACCEPTANCE_SEED + 2),
+                                               (8, ACCEPTANCE_SEED + 8))),
+}
 
 
 @dataclass(frozen=True)
@@ -86,19 +93,23 @@ _CELL_KEYS = {"algorithm", "N", "p"}
 
 
 def _spec_value(data: dict, key: str, kind: type):
-    """data[key] converted by kind; ConfigError if it does not convert, if
-    kind is bool or str and the value is not already one, or if kind is
-    int and the value is a bool or not integral."""
+    """data[key] converted by kind; ConfigError unless it has kind's JSON
+    type: a bool or a string as it is, a float any number but a bool, an
+    int an integral number but a bool."""
     value = data[key]
-    try:
-        if (kind in (bool, str) and not isinstance(value, kind)) or (
-                kind is int and (isinstance(value, bool) or (
-                    isinstance(value, float) and not value.is_integer()))):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"spec value {key}={value!r} is not a valid "
-                          f"{kind.__name__}") from None
+    if kind in (bool, str):
+        valid = isinstance(value, kind)
+    else:
+        valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                 and (kind is float or isinstance(value, int)
+                      or value.is_integer()))
+    if valid:
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"spec value {key}={value!r} is not a valid "
+                      f"{kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -543,48 +554,32 @@ def _excess_rate_clause(rows: Sequence[SweepRow], p: float
     return ok, detail
 
 
-def _empirical_law(algorithm: Algorithm, N: int, p: float, trials: int,
-                   seed: int) -> ExactLaw:
-    config = ProtocolConfig(algorithm=algorithm, N=N, p=p)
-    T = _ensemble(config, (algorithm,), seed, range(trials))[0]
-    return ExactLaw.from_samples(T[algorithm])
-
-
-def check_oracle_law(trials: int = 10 ** 5, tolerance: float = 0.02,
-                     seed: int = ACCEPTANCE_SEED) -> CheckResult:
+def check_law(algorithm: Algorithm, trials: int = 10 ** 5,
+              tolerance: float = 0.02) -> CheckResult:
+    """The simulated completion law at p = 0.5 is within `tolerance` total
+    variation of the exact DP law, at each N of _LAW_CASES."""
     t0 = time.perf_counter()
-    exact = theory.exact_oracle_law(8, 0.5)
-    empirical = _empirical_law(Algorithm.ORACLE, 8, 0.5, trials, seed)
-    tv = exact.total_variation(empirical)
-    return _timed("oracle empirical law vs exact DP", tv <= tolerance,
-                  f"TV={tv:.4f} over {trials} trials (<= {tolerance})", t0)
+    exact_law, cases = _LAW_CASES[algorithm]
+    tvs = []
+    for N, seed in cases:
+        T = _ensemble(ProtocolConfig(algorithm=algorithm, N=N, p=0.5),
+                      (algorithm,), seed, range(trials))[0][algorithm]
+        tvs.append(exact_law(N, 0.5).total_variation(ExactLaw.from_samples(T)))
+    return _timed(f"{algorithm.value} empirical law vs exact DP",
+                  max(tvs) <= tolerance,
+                  ", ".join(f"N={N}: TV={tv:.4f}"
+                            for (N, _), tv in zip(cases, tvs))
+                  + f" over {trials} trials (<= {tolerance})", t0)
 
 
-def check_naive_law(trials: int = 10 ** 5, tolerance: float = 0.02,
-                    seed: int = ACCEPTANCE_SEED) -> CheckResult:
-    t0 = time.perf_counter()
-    worst = 0.0
-    details = []
-    for N in (2, 8):
-        exact = theory.exact_naive_law(N, 0.5)
-        empirical = _empirical_law(Algorithm.NAIVE, N, 0.5, trials, seed + N)
-        tv = exact.total_variation(empirical)
-        worst = max(worst, tv)
-        details.append(f"N={N}: TV={tv:.4f}")
-    return _timed("naive empirical law vs exact DP", worst <= tolerance,
-                  ", ".join(details) + f" over {trials} trials (<= {tolerance})",
-                  t0)
-
-
-def check_active_concentration(samples: int = 10 ** 3,
-                               seed: int = ACCEPTANCE_SEED) -> CheckResult:
+def check_active_concentration(samples: int = 10 ** 3) -> CheckResult:
     """Active count concentrates within N^(2/3) of pN."""
     t0 = time.perf_counter()
     N, p = 10 ** 6, 0.5
     spread = N ** (2.0 / 3.0)
     outliers = 0
     for i in range(samples):
-        active = sample_active(N, p, RngStream(seed=seed, stream_id=i))
+        active = sample_active(N, p, RngStream(ACCEPTANCE_SEED, i))
         n = int(np.count_nonzero(active))
         if abs(n - p * N) > spread:
             outliers += 1
@@ -611,9 +606,7 @@ def check_constants_ordering() -> CheckResult:
                   else f"violations at {bad}", t0)
 
 
-def check_domination(trials: int = 500, N: int = 2 ** 16,
-                     p_values: Tuple[float, ...] = (0.3, 0.5, 0.8),
-                     seed: int = ACCEPTANCE_SEED) -> CheckResult:
+def check_domination(trials: int = 500, N: int = 2 ** 16) -> CheckResult:
     """Count coupled trials on which the oracle finishes after a protocol.
 
     The coupling shares the active set and the warm-up draws, but the
@@ -628,9 +621,9 @@ def check_domination(trials: int = 500, N: int = 2 ** 16,
                   Algorithm.IMPROVED_CYCLIC)
     violations = 0
     checked = 0
-    for p in p_values:
-        ens = _ensemble(ProtocolConfig(algorithms[0], N, p), algorithms, seed,
-                        range(trials))[0]
+    for p in _DOMINATION_P:
+        ens = _ensemble(ProtocolConfig(algorithms[0], N, p), algorithms,
+                        ACCEPTANCE_SEED, range(trials))[0]
         oracle_T = ens[Algorithm.ORACLE]
         for alg in algorithms[1:]:
             diff = ens[alg] - oracle_T
@@ -639,7 +632,7 @@ def check_domination(trials: int = 500, N: int = 2 ** 16,
     return _timed("oracle not later than any protocol, trial by trial",
                   violations == 0,
                   f"oracle later in {violations} of {checked} coupled "
-                  f"comparisons at N={N}, p={list(p_values)}", t0)
+                  f"comparisons at N={N}, p={list(_DOMINATION_P)}", t0)
 
 
 def check_determinism(tmp_dir: Optional[str] = None) -> CheckResult:
@@ -666,44 +659,37 @@ def check_determinism(tmp_dir: Optional[str] = None) -> CheckResult:
         shutil.rmtree(base, ignore_errors=True)
 
 
-def acceptance_checks() -> List[CheckResult]:
-    """The full acceptance gauntlet (shared with tests/test_acceptance.py)."""
-    return [
-        check_acceptance_build(),
-        check_constant(Algorithm.NAIVE),
-        check_constant(Algorithm.CYCLIC),
-        check_beats(Algorithm.CYCLIC, Algorithm.NAIVE),
-        check_constant(Algorithm.IMPROVED_CYCLIC),
-        check_beats(Algorithm.IMPROVED_CYCLIC, Algorithm.CYCLIC),
-        check_lower_bound_envelope(),
-        check_convergence(Algorithm.NAIVE),
-        check_convergence(Algorithm.CYCLIC),
-        check_convergence(Algorithm.IMPROVED_CYCLIC),
-        check_oracle_law(),
-        check_naive_law(),
-        check_active_concentration(),
-        check_constants_ordering(),
-        check_domination(),
-        check_determinism(),
-    ]
-
-
-def quick_checks() -> List[CheckResult]:
-    """Fast subset for `verify quick` (small N, reduced trial counts)."""
-    return [
-        check_constants_ordering(),
-        check_oracle_law(trials=2 * 10 ** 4, tolerance=0.03),
-        check_naive_law(trials=2 * 10 ** 4, tolerance=0.03),
-        check_active_concentration(samples=200),
-        check_domination(trials=100, N=2 ** 12),
-        check_determinism(),
-    ]
-
-
 def verify_suite(level: str = "quick") -> VerifyReport:
-    """Bundle the verification checks; `quick` <= 60 s, `full` <= 30 min."""
+    """Run the checks: `quick` (small N, fewer trials) within 60 s, or
+    `full` (the acceptance gauntlet) within 30 min."""
     if level == "quick":
-        return VerifyReport(checks=tuple(quick_checks()))
-    if level == "full":
-        return VerifyReport(checks=tuple(acceptance_checks()))
-    raise ConfigError(f"verify level must be 'quick' or 'full', got {level!r}")
+        checks = (
+            check_constants_ordering(),
+            check_law(Algorithm.ORACLE, trials=2 * 10 ** 4, tolerance=0.03),
+            check_law(Algorithm.NAIVE, trials=2 * 10 ** 4, tolerance=0.03),
+            check_active_concentration(samples=200),
+            check_domination(trials=100, N=2 ** 12),
+            check_determinism(),
+        )
+    elif level == "full":
+        checks = (
+            check_acceptance_build(),
+            check_constant(Algorithm.NAIVE),
+            check_constant(Algorithm.CYCLIC),
+            check_beats(Algorithm.CYCLIC, Algorithm.NAIVE),
+            check_constant(Algorithm.IMPROVED_CYCLIC),
+            check_beats(Algorithm.IMPROVED_CYCLIC, Algorithm.CYCLIC),
+            check_lower_bound_envelope(),
+            check_convergence(Algorithm.NAIVE),
+            check_convergence(Algorithm.CYCLIC),
+            check_convergence(Algorithm.IMPROVED_CYCLIC),
+            check_law(Algorithm.ORACLE),
+            check_law(Algorithm.NAIVE),
+            check_active_concentration(),
+            check_constants_ordering(),
+            check_domination(),
+            check_determinism(),
+        )
+    else:
+        raise ConfigError(f"verify level must be 'quick' or 'full', got {level!r}")
+    return VerifyReport(checks=checks)

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (Algorithm, ProtocolConfig, RngStream, phase1_steps,
-                   sample_active)
+from .core import (Algorithm, ProtocolConfig, RngStream,
+                   default_phase1_slack, phase1_steps, sample_active)
 
 __all__ = ["TraceResult", "step_naive", "run_coupled", "run"]
 
@@ -289,7 +289,8 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
         informed[0] = True
         gen = rng.protocol_generator()
         counts = [1]
-        limit = (min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
+        limit = (min(phase1_steps(config.N, config.p,
+                                  default_phase1_slack(config.N)), cap)
                  if phased else cap)
         _push(active, informed, gen, n, limit, counts)
         phase1_end = len(counts) - 1

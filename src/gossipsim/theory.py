@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _NAIVE_LAW_MAX_N = 20
+_NAIVE_LAW_RESIDUAL = 1e-13  # uncompleted mass at which the naive DP stops
 _ORACLE_LAW_MAX_N = 64
 
 
@@ -172,7 +173,7 @@ def naive_step_kernel(N: int, k: int, u: int) -> np.ndarray:
     return probs
 
 
-def _naive_law_fixed_active(N: int, a: int, residual: float) -> Dict[int, float]:
+def _naive_law_fixed_active(N: int, a: int) -> Dict[int, float]:
     """Completion-time law for exactly a active nodes (node 0 informed)."""
     if a <= 1:
         return {0: 1.0}
@@ -182,7 +183,7 @@ def _naive_law_fixed_active(N: int, a: int, residual: float) -> Dict[int, float]
     dist[1] = 1.0
     law: Dict[int, float] = {}
     t = 0
-    while dist[:a].sum() > residual:
+    while dist[:a].sum() > _NAIVE_LAW_RESIDUAL:
         t += 1
         nxt = np.zeros(a + 1, dtype=np.float64)
         nxt[a] = dist[a]
@@ -204,12 +205,12 @@ def _naive_law_fixed_active(N: int, a: int, residual: float) -> Dict[int, float]
     return law
 
 
-def exact_naive_law(N: int, p: float, residual: float = 1e-13) -> ExactLaw:
+def exact_naive_law(N: int, p: float) -> ExactLaw:
     """Exact completion-time law of the random-push protocol.
 
     Dynamic program over the informed count with the one-round kernel,
     mixed over the Binomial(N-1, p) law of the active count (node 0 is
-    forced active). Mass below `residual` is folded into the top atom.
+    forced active). Mass below _NAIVE_LAW_RESIDUAL folds into the top atom.
     """
     if not (1 <= int(N) <= _NAIVE_LAW_MAX_N):
         raise ConfigError(f"exact_naive_law supports 1 <= N <= {_NAIVE_LAW_MAX_N}")
@@ -220,7 +221,7 @@ def exact_naive_law(N: int, p: float, residual: float = 1e-13) -> ExactLaw:
         weight = math.comb(N - 1, extra) * p ** extra * (1.0 - p) ** (N - 1 - extra)
         if weight <= 0.0:
             continue
-        for t, q in _naive_law_fixed_active(N, extra + 1, residual).items():
+        for t, q in _naive_law_fixed_active(N, extra + 1).items():
             mixed[t] = mixed.get(t, 0.0) + weight * q
     support = sorted(mixed)
     probs = [mixed[t] for t in support]

@@ -72,8 +72,8 @@ class TestConvergenceTrend:
 
 class TestLawEquivalence:
     def test_oracle_and_naive_laws_within_budget(self):
-        oracle = harness.check_oracle_law()
-        naive = harness.check_naive_law()
+        oracle = harness.check_law(Algorithm.ORACLE)
+        naive = harness.check_law(NAIVE)
         _assert_check(oracle)
         _assert_check(naive)
         total = oracle.elapsed + naive.elapsed

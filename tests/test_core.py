@@ -101,26 +101,24 @@ class TestDerivedDefaults:
 class TestProtocolConfig:
     def test_defaults(self):
         cfg = ProtocolConfig(algorithm=Algorithm.NAIVE, N=2 ** 10, p=0.5)
-        assert cfg.phase1_slack is None
-        assert cfg.warmup_slack == default_phase1_slack(2 ** 10)
         assert cfg.epsilon == 0.1
         assert cfg.segment_length == default_segment_length(2 ** 10)
         assert cfg.step_cap == default_max_steps(2 ** 10, 0.5)
 
     def test_overrides(self):
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=64, p=0.5,
-                             max_steps=123, phase1_slack=0.2)
+                             max_steps=123)
         assert cfg.step_cap == 123
-        assert cfg.warmup_slack == 0.2
 
     @pytest.mark.parametrize("kwargs", [
         {"N": 0}, {"N": -4},
         {"p": 0.0}, {"p": -0.1}, {"p": 1.5},
-        {"phase1_slack": -0.1},
+        {"p": True},
         {"epsilon": 0.0}, {"epsilon": 0.5}, {"epsilon": 0.7},
         {"epsilon": -0.1}, {"max_steps": -5},
         {"max_steps": 0},
         {"N": 2.5}, {"N": True},
+        {"max_steps": 2.7}, {"max_steps": True},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(algorithm=Algorithm.NAIVE, N=64, p=0.5)

@@ -7,6 +7,7 @@ import pytest
 from gossipsim import harness
 from gossipsim.core import Algorithm, ConfigError, ProtocolConfig
 from gossipsim.harness import (
+    ACCEPTANCE_SEED,
     CSV_COLUMNS,
     ExperimentSpec,
     GridCell,
@@ -15,7 +16,8 @@ from gossipsim.harness import (
     run_experiment,
     verify_suite,
 )
-from gossipsim.theory import constant
+from gossipsim.theory import (ExactLaw, constant, exact_naive_law,
+                              exact_oracle_law)
 
 
 def spec_dict(path, **overrides):
@@ -39,6 +41,9 @@ class TestExperimentSpec:
         assert spec.grid == (GridCell(Algorithm.NAIVE, 512, 0.5),)
         assert spec.trials_per_cell == 6
         assert spec.format == "csv"
+        one = ExperimentSpec.from_dict(spec_dict(
+            tmp_path / "out.csv", grid=[{"algorithm": "naive", "N": 8, "p": 1}]))
+        assert one.grid[0].p == 1.0 and isinstance(one.grid[0].p, float)
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.update(extra_key=1),
@@ -70,6 +75,10 @@ class TestExperimentSpec:
         lambda d: d.update(output_path=7),
         lambda d: d.update(format=["csv"]),
         lambda d: d.update(grid=[{"algorithm": None, "N": 8, "p": 0.5}]),
+        # p and epsilon only as JSON numbers, not strings or bools
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": 8, "p": "0.5"}]),
+        lambda d: d.update(epsilon="0.1"),
+        lambda d: d.update(grid=[{"algorithm": "naive", "N": 8, "p": True}]),
     ])
     def test_invalid_specs_rejected(self, tmp_path, mutate):
         data = spec_dict(tmp_path / "out.csv")
@@ -245,6 +254,28 @@ class TestEnsemble:
         assert set(T) == set(algorithms)
         assert all((times == 2).all() for times in T.values())
         assert harness._ensemble(config, algorithms, 31, range(5)) is built
+
+
+class TestLawCheck:
+    @pytest.mark.parametrize("algorithm,exact_law,cases", [
+        (Algorithm.ORACLE, exact_oracle_law, [(8, ACCEPTANCE_SEED)]),
+        (Algorithm.NAIVE, exact_naive_law,
+         [(2, ACCEPTANCE_SEED + 2), (8, ACCEPTANCE_SEED + 8)]),
+    ], ids=["oracle", "naive"])
+    def test_reads_the_pinned_ensembles(self, algorithm, exact_law, cases):
+        # each N's total variation is that of the ensemble on its own seed
+        trials = 2000
+        result = harness.check_law(algorithm, trials=trials, tolerance=0.05)
+        tvs = []
+        for N, seed in cases:
+            T = harness._ensemble(ProtocolConfig(algorithm, N, 0.5),
+                                  (algorithm,), seed, range(trials))[0]
+            tv = exact_law(N, 0.5).total_variation(
+                ExactLaw.from_samples(T[algorithm]))
+            tvs.append(f"N={N}: TV={tv:.4f}")
+        assert result.detail == (", ".join(tvs) + f" over {trials} trials "
+                                 f"(<= 0.05)")
+        assert result.name == f"{algorithm.value} empirical law vs exact DP"
 
 
 class TestVerifySuite:

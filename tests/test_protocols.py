@@ -198,7 +198,8 @@ def reference_run_cyclic(config, rng):
     n = int(np.count_nonzero(active))
     counts = [1]  # the informed count after each step
     cap = config.step_cap
-    limit = min(phase1_steps(config.N, config.p, config.warmup_slack), cap)
+    limit = min(phase1_steps(config.N, config.p,
+                             default_phase1_slack(config.N)), cap)
     k = 1
     while k < n and len(counts) <= limit:
         k = step_naive(active, informed, k, gen)
