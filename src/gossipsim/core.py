@@ -139,10 +139,8 @@ class ProtocolConfig:
         if not isinstance(self.algorithm, Algorithm):
             raise ConfigError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
         _positive_int(self.N, "N")
-        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
-                or not 0.0 < self.p <= 1.0):
-            raise ConfigError(f"p must lie in (0, 1], got {self.p}")
-        if not (0.0 < float(self.epsilon) < 0.5):
+        _probability(self.p)
+        if not (_is_real(self.epsilon) and 0.0 < self.epsilon < 0.5):
             raise ConfigError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
         if self.max_steps is not None:
             _positive_int(self.max_steps, "max_steps")
@@ -160,19 +158,50 @@ class ProtocolConfig:
 
 def _positive_int(value, name: str) -> int:
     """value as an int; ConfigError unless it is a positive integer (numpy
-    integers are; a bool or a float is not, even when integral)."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1):
+    integers are; a bool or a float is not, even when integral). int is
+    tested first: it skips the slower abstract-class check on every trial."""
+    if (isinstance(value, (int, numbers.Integral))
+            and not isinstance(value, bool) and value >= 1):
         return int(value)
     raise ConfigError(f"{name} must be a positive integer, got {value}")
 
 
+def _is_real(value) -> bool:
+    """A real number: numpy floats and integers are; a bool or a string is
+    not. float is tested first, as _positive_int tests int."""
+    return (isinstance(value, (float, numbers.Real))
+            and not isinstance(value, bool))
+
+
+def _probability(p) -> float:
+    """p as a float; ConfigError unless it is a real number in (0, 1]."""
+    if _is_real(p) and 0.0 < p <= 1.0:
+        return float(p)
+    raise ConfigError(f"p must lie in (0, 1], got {p}")
+
+
+# sample_active draws its uniforms this many at a time, so the float64
+# temporary stays at 512 KiB whatever N is
+_ACTIVE_CHUNK = 2 ** 16
+
+
 def sample_active(N: int, p: float, rng: RngStream) -> np.ndarray:
     """The active mask: node 0 forced active, the others i.i.d. with
-    probability p."""
+    probability p.
+
+    Node i is active when the i-th uniform of the active generator is below
+    p. Above _ACTIVE_CHUNK nodes the uniforms are drawn in chunks, which
+    yields the same sequence as one draw.
+    """
     N = _positive_int(N, "N")
-    if not (0.0 < float(p) <= 1.0):
-        raise ConfigError(f"p must lie in (0, 1], got {p}")
-    active = rng.active_generator().random(N) < float(p)
+    p = _probability(p)
+    gen = rng.active_generator()
+    if N <= _ACTIVE_CHUNK:
+        active = gen.random(N) < p
+    else:
+        active = np.empty(N, dtype=bool)
+        for start in range(0, N, _ACTIVE_CHUNK):
+            block = active[start:start + _ACTIVE_CHUNK]
+            np.less(gen.random(len(block)), p, out=block)
     active[0] = True
     return active

@@ -10,6 +10,7 @@ coupled: identical active sets and an identical randomized warm-up
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
@@ -72,18 +73,54 @@ def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
     return au, (au - sources[sources.searchsorted(au) - 1]) % len(active)
 
 
+def _segment_counts(mask: np.ndarray, ell: int) -> np.ndarray:
+    """Nodes of mask in each segment of ell consecutive positions (the last
+    may be shorter): the sum of ell strided views, in the smallest unsigned
+    dtype that holds ell."""
+    counts = mask[::ell].astype(np.min_scalar_type(ell))
+    for j in range(1, ell):
+        part = mask[j::ell]
+        counts[:len(part)] += part
+    return counts
+
+
 def _segment_census(active: np.ndarray, informed: np.ndarray, ell: int,
                     p: float):
-    """Per-segment counts and goodness for the improved protocol."""
-    N = len(active)
-    seg_start = np.arange(0, N, ell)
-    seg_len = np.minimum(ell, N - seg_start)
-    seeded = np.add.reduceat(informed, seg_start, dtype=np.int64)
-    act = np.add.reduceat(active, seg_start, dtype=np.int64)
+    """Per-segment informed and active counts and goodness."""
+    seeded = _segment_counts(informed, ell)
+    act = _segment_counts(active, ell)
     # after the intra-segment broadcast every active node in a seeded segment
     # is informed, so the census is (seeded) and (enough actives)
-    good = (seeded >= 1) & (act >= np.ceil(seg_len * (p / 2.0)))
-    return len(seg_start), seg_start, seg_len, seeded, act, good
+    good = (seeded > 0) & (act >= math.ceil(ell * (p / 2.0)))
+    tail = len(active) - (len(seeded) - 1) * ell  # the last segment's length
+    good[-1] = seeded[-1] > 0 and act[-1] >= math.ceil(tail * (p / 2.0))
+    return seeded, act, good
+
+
+def _ring_keep(unsat: np.ndarray, late: np.ndarray,
+               needy: np.ndarray) -> np.ndarray:
+    """Which of a ring of L waves can still change a cover: the late ones,
+    and for each needy unsaturated one, the run of waves behind it up to
+    and including the first saturated one. late and needy are positions on
+    the ring; needy waves are late ones that may lower a cover after step 1
+    too, so merges from behind may still speed them up in time."""
+    L = len(unsat)
+    keep = np.zeros(L, dtype=bool)
+    keep[late] = True
+    j = np.sort(needy[unsat[needy]])
+    if len(j) == 0:
+        return keep
+    # each run starts at the nearest saturated wave before j, on the ring
+    # unrolled one lap back (-L: none), or after the needy wave before j,
+    # whose run covers the rest (a repeated j gets an empty run)
+    sat = (~unsat).nonzero()[0]
+    sat = np.concatenate(([-L], sat - L, sat))
+    start = np.maximum(sat[sat.searchsorted(j) - 1],
+                       np.concatenate((j[-1:] - L, j[:-1])) + 1)
+    count = j + 1 - start
+    keep[np.arange(count.sum()) + np.repeat(start - count.cumsum() + count,
+                                            count)] = True
+    return keep
 
 
 def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
@@ -108,57 +145,82 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
           another wave merges into the claimant's live root. Bad segments
           never transmit on their own.
 
-    A step is a few array operations over all waves, not a loop over them:
-    the moving waves' blocks are marked as one union of intervals, and the
-    waves that finish a segment merge by pointer doubling.
+    The sweep steps only the waves that can still lower a cover, relying
+    on three invariants:
+      - Live waves have distinct fronts: a wave that finishes a segment
+        another wave took dies into that wave's tree, so no wave enters a
+        claimed segment. The segments after a good segment, up to the next
+        good one, are swept by its wave alone, which on finishing that good
+        segment dies into the first live wave ahead.
+      - Sizes matter only through min(size, ell): a wave covers at most one
+        segment, of at most ell positions, per step, so a saturated wave
+        moves one segment per step whatever merges into it.
+      - Only segments that hold waiting nodes are swept: a node waits while
+        its wave can still reach it before its cover, moving one segment
+        per step once its broadcast is done.
+    The census keeps the waves that can reach a waiting node (late) and,
+    for each unsaturated late wave that may lower a cover after step 1 (so
+    a merge can still speed it up in time), the run of waves behind it up
+    to and including the first saturated one. The other waves are never
+    stepped: their merges reach only saturated or unstepped waves, which
+    changes no cover. Merges can cycle only once every node is covered.
     """
-    S, seg_start, seg_len, seeded, act, good = _segment_census(
-        active, informed, ell, p)
+    N = len(active)
+    seeded, act, good = _segment_census(active, informed, ell, p)
+    S = len(seeded)
     au = (active > informed).nonzero()[0]  # active and not informed
     # 2a schedule: a position's rank among its segment's non-informed slots
-    # is its rank among all non-informed positions minus the non-informed
-    # positions before the segment
     seg = au // ell
+    rank = np.zeros(len(au), dtype=np.int64)
+    for j in range(ell - 1):
+        before = seg * ell + j
+        rank += (before < au) & ~informed[np.minimum(before, au)]
     g0 = seeded[seg]
-    rank = (au - informed.nonzero()[0].searchsorted(au)
-            - (seg_start - np.cumsum(seeded) + seeded)[seg])
     cover = np.where(g0 > 0, rank // np.maximum(g0, 1) + 1, _UNSET)
-    del seg, g0, rank
+    del rank, g0
     origin = good.nonzero()[0]
     W = len(origin)
     if S == 1 or W == 0:
         return au, cover  # nothing can reach the rest
 
-    seg_end = seg_start + seg_len
-    next_seg = (np.arange(S) + 1) % S
-    front = next_seg[origin]
-    head = seg_start[front]  # next position each wave covers
-    size = act[origin]
-    cover_start = (seg_len[origin] - 1) // seeded[origin]  # broadcast length
-    all_moving = int(cover_start.max())
-    claimed_by = np.full(S, -1)  # a wave of the tree holding each segment
-    claimed_by[origin] = np.arange(W)
-    root_of = np.arange(W)  # live root of every wave, path-compressed
-    live = np.arange(W)
+    def broadcast(o):
+        """Length of the own broadcasts of the waves from segments o."""
+        return (np.minimum(ell, N - o * ell) - 1) // seeded[o]
+
+    size = act[origin].astype(np.int64)
+    # the wave of the last good segment before seg is the one to reach it,
+    # on the step after its broadcast at the earliest, then one segment per
+    # step; a node waits if that is before its cover
+    ent = (origin.searchsorted(seg) - 1) % W
+    o = origin[ent]
+    late = cover > broadcast(o) + 1 + (seg - o - 1) % S
+    live = _ring_keep(size < ell, ent[late], ent[late & (cover > 2)]
+                      ).nonzero()[0]  # the kept waves, in ring order
+    waits = np.zeros(S, dtype=bool)  # segments holding waiting nodes
+    waits[seg[late]] = True
+    del ent, o, late
+    head = np.zeros(W, dtype=np.int64)  # next position each wave covers
+    head[live] = (origin[live] + 1) % S * ell
+    all_moving = ell - 1  # no broadcast is longer
     slots = len(au) + 1
+    root_of = np.arange(W)  # dead waves point toward their live root
 
     t = 0
     # A step lowers only the offsets above it (waves may preempt scheduled
     # local deliveries), so the sweep runs while some offset lies ahead.
-    # Merges then never form a cycle: for two waves to finish segments held
-    # by each other's trees, the trees' swept trails must span the ring, so
-    # every node was covered before that step.
     while t < budget and cover.max(initial=0) > t:
         t += 1
-        moving = live if t > all_moving else live[cover_start[live] < t]
-        f = front[moving]
+        moving = (live if t > all_moving
+                  else live[broadcast(origin[live]) < t])
         lo = head[moving]
+        f = lo // ell  # the segment each wave covers
         hi = lo + size[moving]
-        end = seg_end[f]
-        # the blocks [lo, min(hi, end)) as ranges of au indices, merged by
-        # a difference array
-        swept = (np.bincount(au.searchsorted(lo), minlength=slots)
-                 - np.bincount(au.searchsorted(np.minimum(hi, end)),
+        end = np.minimum(f * ell + ell, N)
+        # the blocks [lo, min(hi, end)) in segments holding waiting nodes,
+        # as ranges of au indices merged by a difference array
+        sweep = waits[f]
+        swept = (np.bincount(au.searchsorted(lo[sweep]), minlength=slots)
+                 - np.bincount(au.searchsorted(np.minimum(hi, end)[sweep]),
                                minlength=slots)).cumsum()[:-1] > 0
         cover[swept] = np.minimum(cover[swept], t)
         head[moving] = hi
@@ -166,36 +228,34 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
         fin = moving[done]
         if len(fin) == 0:
             continue
-        # Live waves have distinct fronts: a wave that finishes a segment
-        # after another took it dies into that wave's tree, never next to
-        # it. So each segment is finished by one wave at a time, and a
-        # finished wave claims a free segment, or points at the live root
-        # of the segment's claimant; it survives if that root is itself,
-        # else it dies into the end of the chain of roots.
         fs = f[done]
-        owner = claimed_by[fs]
-        free = owner < 0
-        target = np.where(free, fin, root_of[owner])
-        claimed_by[fs] = target
-        root_of[fin] = dest = target
-        for _ in range(len(fin).bit_length() + 1):  # pointer doubling
-            jump = root_of[dest]
-            if (jump == dest).all():
-                break
-            root_of[fin] = dest = jump
-        else:
-            raise RuntimeError("wave merge did not converge")
-        root_of = root_of[root_of]
-        live = live[root_of[live] == live]
-        # every chain's end gains the step-start sizes of the waves ending in
-        # it, and a claim recruits the claimed segment's active nodes
-        gain = size[fin]
-        size[fin] = 0
-        np.add.at(size, dest, gain)
-        size[fin[free]] += act[fs[free]]
-        # survivors go on to the next segment; dead waves never move again
-        front[fin] = next_seg[fs]
-        head[fin] = seg_start[front[fin]]
+        ends = good[fs]
+        dying = fin[ends]
+        if len(dying):
+            # a finished good segment belongs to the tree of its own wave:
+            # the wave dies into that tree's live root, or survives if the
+            # root is itself; a chain of waves dying together ends at one
+            # survivor, found by pointer doubling (older links add at most a
+            # hop per past step, so only a cycle exhausts the bound)
+            root_of[dying] = dest = root_of[origin.searchsorted(fs[ends])]
+            for _ in range(len(dying) + t + 1):
+                jump = root_of[dest]
+                if (jump == dest).all():
+                    break
+                root_of[dying] = dest = jump
+            else:
+                raise RuntimeError("wave merge did not converge")
+            live = live[root_of[live] == live]
+            # every chain's end gains the step-start sizes of the waves
+            # ending in it
+            gain = size[dying]
+            size[dying] = 0
+            np.add.at(size, dest, gain)
+        claims = ~ends
+        size[fin[claims]] += act[fs[claims]]  # a claim recruits the actives
+        # survivors go on to the next segment, wrapping at N; dead waves
+        # never move again
+        head[fin] = end[done] % N
     return au, cover
 
 

@@ -119,6 +119,7 @@ class TestProtocolConfig:
         {"max_steps": 0},
         {"N": 2.5}, {"N": True},
         {"max_steps": 2.7}, {"max_steps": True},
+        {"epsilon": "0.1"}, {"epsilon": True},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(algorithm=Algorithm.NAIVE, N=64, p=0.5)
@@ -182,6 +183,28 @@ class TestSampleActive:
             sample_active(8, 0.0, RngStream(seed=0))
         with pytest.raises(ConfigError):
             sample_active(2.5, 0.5, RngStream(seed=0))
+
+    @pytest.mark.parametrize("p", [True, "0.5", None, float("nan")])
+    def test_p_must_be_a_real_probability(self, p):
+        # the same check as ProtocolConfig.p
+        with pytest.raises(ConfigError):
+            sample_active(4, p, RngStream(seed=0))
+        with pytest.raises(ConfigError):
+            ProtocolConfig(Algorithm.NAIVE, 4, p)
+
+    @pytest.mark.parametrize("N", [1, 8, 2 ** 16, 2 ** 16 + 3, 3 * 2 ** 16 + 5])
+    def test_chunked_draw_matches_one_draw(self, N):
+        # node i is active when the i-th uniform of the active generator is
+        # below p, however many uniforms are drawn per call
+        rng = RngStream(seed=11, stream_id=4)
+        expected = rng.active_generator().random(N) < 0.3
+        expected[0] = True
+        assert np.array_equal(sample_active(N, 0.3, rng), expected)
+        one, chunked = rng.active_generator(), rng.active_generator()
+        draws = [chunked.random(min(2 ** 16, N - s))
+                 for s in range(0, N, 2 ** 16)]
+        assert np.array_equal(np.concatenate(draws), one.random(N))
+        assert one.random() == chunked.random()  # the next draw agrees too
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2000), st.floats(0.01, 1.0), st.integers(0, 2 ** 32))

@@ -600,6 +600,66 @@ class TestImprovedPhase2:
             assert np.array_equal(au, ref_au), (N, p, ell)
             assert np.array_equal(cover, ref_cover), (N, p, ell)
 
+    def test_merge_mid_segment_speeds_the_receiver(self):
+        # segments [0,3) [3,6) [6,9), ell 3; the first two are good with one
+        # seed each, so both waves wait out a 2-step broadcast. The wave of
+        # segment 1 (size 1) covers node 6 at step 3, while the wave of
+        # segment 0 (size 3) finishes segment 1 and dies into it; from
+        # step 4 the receiver has size 4 and covers 7 and 8 together
+        active = np.array([c == "1" for c in "111100111"])
+        informed = np.array([c == "1" for c in "100100000"])
+        expected = reference_phase2(active, informed, 3, 0.6, 100)
+        assert expected == {1: 1, 2: 2, 6: 3, 7: 4, 8: 4}
+        assert engine_offsets(active, informed, 3, 0.6, 100) == expected
+        lone = active.copy()
+        lone[:3] = False  # without the merging wave, node 8 waits to step 5
+        assert reference_phase2(lone, informed & lone, 3, 0.6, 100)[8] == 5
+
+    def test_merge_after_step_one_beats_the_local_schedule(self):
+        # segments [0,4) [4,8) [8,9), ell 4, all good. Node 3's local slot
+        # is step 3. The size-1 wave of the tail segment reaches segment 0
+        # at step 1; the saturated wave of segment 1 dies into it at step 1,
+        # and at step 2 the merged wave covers nodes 1-3, so node 3 is
+        # informed at step 2
+        active = np.ones(9, dtype=bool)
+        informed = np.array([c == "1" for c in "100011111"])
+        expected = reference_phase2(active, informed, 4, 0.9, 100)
+        assert expected == {1: 1, 2: 2, 3: 2}
+        assert engine_offsets(active, informed, 4, 0.9, 100) == expected
+
+    def test_saturated_wave_crosses_empty_bad_segments(self):
+        # ell 2: the wave of segment 0 (size 2, saturated) crosses three bad
+        # segments with no active node, one per step, and covers segment 4
+        # at step 4; the size-1 wave of segment 5 dies into it at step 3
+        # and changes nothing
+        active = np.array([c == "1" for c in "110000001110"])
+        informed = np.array([c == "1" for c in "110000000010"])
+        expected = reference_phase2(active, informed, 2, 1.0, 100)
+        assert expected == {8: 4, 9: 4}
+        assert engine_offsets(active, informed, 2, 1.0, 100) == expected
+        au, cover = sequential_phase2(active, informed, 2, 1.0, 100)
+        assert dict(zip(au.tolist(), cover.tolist())) == expected
+
+    def test_wave_wraps_past_the_short_tail(self):
+        # segments [0,3) [3,6) [6,8): the saturated wave of segment 1 covers
+        # the 2-node tail at step 1 and goes on to segment 0 at step 2
+        active = np.array([c == "1" for c in "01111100"])
+        informed = np.array([c == "1" for c in "00011100"])
+        expected = reference_phase2(active, informed, 3, 1.0, 100)
+        assert expected == {1: 2, 2: 2}
+        assert engine_offsets(active, informed, 3, 1.0, 100) == expected
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_matches_sequential_at_default_ell_2_16(self, p):
+        N = 2 ** 16
+        active, informed, counts = post_phase1_state(N, p, stream=int(10 * p))
+        budget = default_max_steps(N, p) - (len(counts) - 1)
+        ell = default_segment_length(N)
+        au, cover = _improved_phase2_offsets(active, informed, ell, p, budget)
+        ref_au, ref_cover = sequential_phase2(active, informed, ell, p, budget)
+        assert np.array_equal(au, ref_au)
+        assert np.array_equal(cover, ref_cover)
+
     def test_merge_cycle_fixture(self):
         # segments [0,5) [5,10) [10,12); the first and last are good. The
         # wave from segment 0 claims segment 1 at step 3; at step 4 it
@@ -662,12 +722,8 @@ class TestSegmentView:
         active = np.ones(10, dtype=bool)
         informed = np.zeros(10, dtype=bool)
         informed[0] = True
-        S, seg_start, seg_len, seeded, act, good = _segment_census(
-            active, informed, 4, 1.0)
-        assert S == 3
-        assert seg_start.tolist() == [0, 4, 8]
-        assert seg_len.tolist() == [4, 4, 2]
-        assert seeded.tolist() == [1, 0, 0]
+        seeded, act, good = _segment_census(active, informed, 4, 1.0)
+        assert seeded.tolist() == [1, 0, 0]  # segments [0,4) [4,8) [8,10)
         assert act.tolist() == [4, 4, 2]
         assert good.tolist() == [True, False, False]  # unseeded are bad
         # the good segment's wave front starts at the next segment once its
