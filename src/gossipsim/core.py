@@ -190,18 +190,15 @@ def sample_active(N: int, p: float, rng: RngStream) -> np.ndarray:
     probability p.
 
     Node i is active when the i-th uniform of the active generator is below
-    p. Above _ACTIVE_CHUNK nodes the uniforms are drawn in chunks, which
-    yields the same sequence as one draw.
+    p. The uniforms are drawn _ACTIVE_CHUNK at a time, which yields the
+    same sequence as one draw.
     """
     N = _positive_int(N, "N")
     p = _probability(p)
     gen = rng.active_generator()
-    if N <= _ACTIVE_CHUNK:
-        active = gen.random(N) < p
-    else:
-        active = np.empty(N, dtype=bool)
-        for start in range(0, N, _ACTIVE_CHUNK):
-            block = active[start:start + _ACTIVE_CHUNK]
-            np.less(gen.random(len(block)), p, out=block)
+    active = np.empty(N, dtype=bool)
+    for start in range(0, N, _ACTIVE_CHUNK):
+        block = active[start:start + _ACTIVE_CHUNK]
+        np.less(gen.random(len(block)), p, out=block)
     active[0] = True
     return active

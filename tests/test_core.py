@@ -200,11 +200,6 @@ class TestSampleActive:
         expected = rng.active_generator().random(N) < 0.3
         expected[0] = True
         assert np.array_equal(sample_active(N, 0.3, rng), expected)
-        one, chunked = rng.active_generator(), rng.active_generator()
-        draws = [chunked.random(min(2 ** 16, N - s))
-                 for s in range(0, N, 2 ** 16)]
-        assert np.array_equal(np.concatenate(draws), one.random(N))
-        assert one.random() == chunked.random()  # the next draw agrees too
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2000), st.floats(0.01, 1.0), st.integers(0, 2 ** 32))
