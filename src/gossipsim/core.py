@@ -6,8 +6,9 @@ synchronous rounds; informed active nodes push one message per round. A
 protocol run ends when every active node is informed.
 
 A trial's network is two boolean arrays of length N, the active mask and
-the informed mask (a subset of it); its clock and informed count are the
-length and last entry of its list of informed counts, one per round.
+the pending mask (the active nodes not yet informed, a subset of it); its
+clock and informed count are the length and last entry of its list of
+informed counts, one per round.
 """
 from __future__ import annotations
 

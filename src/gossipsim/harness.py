@@ -499,7 +499,7 @@ def check_lower_bound_envelope() -> CheckResult:
     for K in (2, 4, 6):
         early = int((pooled < base - K).sum())
         frac = early / len(pooled)
-        bound = lower_bound_tail(1.0, _ACCEPT_P, K) * 1.5
+        bound = lower_bound_tail(_ACCEPT_P, K) * 1.5
         ok = ok and frac <= bound and (K < 6 or early == 0)
         parts.append(f"K={K}: {early} early (frac {frac:.4f} <= {bound:.4f})")
     return _timed("lower-bound envelope", ok,

@@ -38,24 +38,22 @@ class TraceResult:
     trajectory: Optional[List[int]] = None
 
 
-def step_naive(active: np.ndarray, informed: np.ndarray, k: int,
-               gen: np.random.Generator) -> int:
-    """One random-push round on boolean masks of length N: each of the k
-    nodes of informed (a subset of active) targets a uniform node, drawn
-    as one batch gen.integers(0, N, size=k); self-sends are wasted. Active,
-    uninformed targets become informed in place. Returns the new count."""
-    targets = gen.integers(0, len(active), size=k)
-    hits = active[targets] & ~informed[targets]
-    informed[targets[hits]] = True
-    return int(np.count_nonzero(informed))
+def step_naive(pending: np.ndarray, k: int, gen: np.random.Generator) -> int:
+    """One random-push round on the pending mask (active, not yet informed)
+    of N nodes: each of the k informed nodes targets a uniform node, drawn
+    as one batch gen.integers(0, N, size=k). Every target leaves pending in
+    place, a scatter with no gather, as an inactive or informed target is
+    not pending anyway. Returns the count still pending."""
+    pending[gen.integers(0, len(pending), size=k)] = False
+    return int(np.count_nonzero(pending))
 
 
-def _push(active: np.ndarray, informed: np.ndarray, gen: np.random.Generator,
-          n: int, limit: int, counts: List[int]) -> None:
+def _push(pending: np.ndarray, gen: np.random.Generator, n: int, limit: int,
+          counts: List[int]) -> None:
     """Push rounds until all n are informed or the clock, len(counts) - 1,
     reaches limit, appending the informed count after each round to counts."""
     while counts[-1] < n and len(counts) <= limit:
-        counts.append(step_naive(active, informed, counts[-1], gen))
+        counts.append(n - step_naive(pending, counts[-1], gen))
 
 
 def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
@@ -330,9 +328,10 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
 
     Every config field but algorithm is shared, and each result equals
     run() of its algorithm alone. The oracle draws its targets from a fresh
-    protocol generator; the others share one phase 1 on another, run to the
-    phased schedule (the cap for naive alone). Each phase-2 engine starts
-    from the network it leaves, and naive then keeps stepping.
+    protocol generator; the others share one phase 1 on another, push
+    rounds on a pending mask run to the phased schedule (the cap for naive
+    alone). Each phase-2 engine starts from the informed mask it leaves,
+    active ^ pending, and naive then keeps stepping the pending mask.
     """
     active = sample_active(config.N, config.p, rng)
     n = int(np.count_nonzero(active))
@@ -345,20 +344,22 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
               if alg in (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)]
     naive = Algorithm.NAIVE in algorithms
     if phased or naive:
-        informed = np.zeros(len(active), dtype=bool)
-        informed[0] = True
+        pending = active.copy()
+        pending[0] = False
         gen = rng.protocol_generator()
         counts = [1]
         limit = (min(phase1_steps(config.N, config.p,
                                   default_phase1_slack(config.N)), cap)
                  if phased else cap)
-        _push(active, informed, gen, n, limit, counts)
+        _push(pending, gen, n, limit, counts)
         phase1_end = len(counts) - 1
+        if phased:
+            informed = active ^ pending
         for alg in phased:  # a new list each, so naive's appends stay its own
             runs[alg] = (counts + _phase2(alg, config, active, informed, n,
                                           counts, cap), phase1_end)
         if naive:
-            _push(active, informed, gen, n, cap, counts)
+            _push(pending, gen, n, cap, counts)
             runs[Algorithm.NAIVE] = (counts, None)
     results = {}
     for alg in algorithms:  # in the order asked for

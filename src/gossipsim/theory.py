@@ -88,18 +88,16 @@ def cyclic_beats_naive(p: float) -> float:
     return p + math.log1p(-p)
 
 
-def lower_bound_tail(a: float, p: float, K: float) -> float:
-    """Upper bound min(1, 1/(a*p*(1+p)^K)) on finishing K steps early.
+def lower_bound_tail(p: float, K: float) -> float:
+    """Upper bound min(1, 1/(p*(1+p)^K)) on finishing K steps early.
 
-    Bounds the probability that a*p*N nodes are informed within
+    Bounds the probability that p*N nodes are informed within
     ln N/ln(1+p) - K steps, for any push protocol.
     """
-    if not (0.0 < float(a) <= 1.0):
-        raise ConfigError(f"a must lie in (0, 1], got {a}")
     if float(K) < 0.0:
         raise ConfigError(f"K must be >= 0, got {K}")
     p = _check_p(p, allow_one=True)
-    return min(1.0, 1.0 / (float(a) * p * (1.0 + p) ** float(K)))
+    return min(1.0, 1.0 / (p * (1.0 + p) ** float(K)))
 
 
 @dataclass(frozen=True)

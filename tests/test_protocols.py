@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -37,14 +39,21 @@ def fully_active(N, informed_idx):
     return np.ones(N, dtype=bool), informed
 
 
+def all_active_pending(N, informed_idx):
+    """The pending mask of an all-active network: every node but the
+    informed ones."""
+    pending = np.ones(N, dtype=bool)
+    pending[list(informed_idx)] = False
+    return pending
+
+
 class TestStepNaive:
     def test_two_node_half_split(self):
         gen = RngStream(seed=11).protocol_generator()
         hits = 0
         reps = 4000
         for _ in range(reps):
-            active, informed = fully_active(2, [0])
-            hits += step_naive(active, informed, 1, gen) - 1
+            hits += 1 - step_naive(all_active_pending(2, [0]), 1, gen)
         assert abs(hits / reps - 0.5) < 0.03
 
     def test_three_node_two_thirds(self):
@@ -52,8 +61,7 @@ class TestStepNaive:
         hits = 0
         reps = 4000
         for _ in range(reps):
-            active, informed = fully_active(3, [0])
-            hits += step_naive(active, informed, 1, gen) - 1
+            hits += 2 - step_naive(all_active_pending(3, [0]), 1, gen)
         assert abs(hits / reps - 2 / 3) < 0.03
 
     def test_one_step_law_matches_kernel(self):
@@ -61,10 +69,10 @@ class TestStepNaive:
         N, k = 16, 3
         gen = RngStream(seed=13).protocol_generator()
         reps = 10 ** 5
-        active, template = fully_active(N, range(k))
+        template = all_active_pending(N, range(k))
         counts = np.zeros(N - k + 1, dtype=np.int64)
         for _ in range(reps):
-            counts[step_naive(active, template.copy(), k, gen) - k] += 1
+            counts[N - k - step_naive(template.copy(), k, gen)] += 1
         exact = naive_step_kernel(N, k, N - k)
         tv = 0.5 * np.abs(counts / reps - exact).sum()
         assert tv <= 0.02
@@ -73,28 +81,30 @@ class TestStepNaive:
         gen = RngStream(seed=14).protocol_generator()
         active = np.zeros(20, dtype=bool)
         active[[0, 3, 7]] = True
-        informed = np.zeros(20, dtype=bool)
-        informed[0] = True
+        pending = active.copy()
+        pending[0] = False
         k = 1
         for _ in range(50):
-            k = step_naive(active, informed, k, gen)
-        assert not np.any(informed & ~active)
-        assert k == np.count_nonzero(informed)
+            left = step_naive(pending, k, gen)
+            assert not np.any(pending & ~active)
+            assert left == np.count_nonzero(pending)
+            k = 3 - left
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 64), st.integers(0, 10 ** 6))
     def test_informed_monotone(self, N, seed):
         rng = RngStream(seed=seed)
         active = sample_active(N, 0.6, rng)
-        informed = np.zeros(N, dtype=bool)
-        informed[0] = True
+        pending = active.copy()
+        pending[0] = False
+        n = int(np.count_nonzero(active))
         gen = rng.protocol_generator()
-        previous = informed.copy()
+        previous = pending.copy()
         k = 1
         for _ in range(5):
-            k = step_naive(active, informed, k, gen)
-            assert np.all(informed >= previous)
-            previous = informed.copy()
+            k = n - step_naive(pending, k, gen)
+            assert np.all(pending <= previous)
+            previous = pending.copy()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -102,22 +112,24 @@ class TestStepNaive:
     def test_round_contract(self, N, p_active, p_informed, seed):
         # any active mask and informed subset of it: the round is exactly
         # one gen.integers(0, N, size=k) batch, the draw order that
-        # (seed, stream_id) coupling rests on, scattered onto active nodes
+        # (seed, stream_id) coupling rests on, and it clears exactly the
+        # drawn targets from the pending mask
         masks = np.random.default_rng(seed)
         active = masks.random(N) < p_active
         informed = active & (masks.random(N) < p_informed)
-        before = informed.copy()
+        pending = active & ~informed
+        before = pending.copy()
         k = int(np.count_nonzero(informed))
         gen = np.random.Generator(np.random.PCG64(seed))
         twin = np.random.Generator(np.random.PCG64(seed))
-        count = step_naive(active, informed, k, gen)
+        count = step_naive(pending, k, gen)
         targets = twin.integers(0, N, size=k)
         assert gen.bit_generator.state == twin.bit_generator.state
-        assert count == np.count_nonzero(informed)
-        assert not np.any(informed & ~active)
-        expected = before.copy()
-        expected[targets[active[targets]]] = True
-        assert np.array_equal(informed, expected)
+        assert not np.any(pending[targets])
+        untouched = np.ones(N, dtype=bool)
+        untouched[targets] = False
+        assert np.array_equal(pending[untouched], before[untouched])
+        assert count == np.count_nonzero(pending)
 
 
 class TestRunNaive:
@@ -192,8 +204,8 @@ def reference_run_cyclic(config, rng):
     """A cyclic trial: step_naive to the phase-1 schedule, then phase 2
     stepped by reference_cyclic_phase2."""
     active = sample_active(config.N, config.p, rng)
-    informed = np.zeros(config.N, dtype=bool)
-    informed[0] = True
+    pending = active.copy()
+    pending[0] = False
     gen = rng.protocol_generator()
     n = int(np.count_nonzero(active))
     counts = [1]  # the informed count after each step
@@ -202,11 +214,12 @@ def reference_run_cyclic(config, rng):
                              default_phase1_slack(config.N)), cap)
     k = 1
     while k < n and len(counts) <= limit:
-        k = step_naive(active, informed, k, gen)
+        k = n - step_naive(pending, k, gen)
         counts.append(k)
     phase1_end = len(counts) - 1
     if k < n:
-        k, _ = reference_cyclic_phase2(active, informed, n, counts, cap)
+        k, _ = reference_cyclic_phase2(active, active & ~pending, n, counts,
+                                       cap)
     eps, p, N = config.epsilon, config.p, config.N
     return TraceResult(
         config=config, n_active=n, completion_time=len(counts) - 1,
@@ -478,15 +491,15 @@ def post_phase1_state(N, p, stream):
     leaves them, and the warm-up's informed counts."""
     rng = RngStream(seed=31, stream_id=stream)
     active = sample_active(N, p, rng)
-    informed = np.zeros(N, dtype=bool)
-    informed[0] = True
+    pending = active.copy()
+    pending[0] = False
     gen = rng.protocol_generator()
     n = int(np.count_nonzero(active))
     counts = [1]
     while (counts[-1] < n
            and len(counts) <= phase1_steps(N, p, default_phase1_slack(N))):
-        counts.append(step_naive(active, informed, counts[-1], gen))
-    return active, informed, counts
+        counts.append(n - step_naive(pending, counts[-1], gen))
+    return active, active & ~pending, counts
 
 
 def engine_offsets(active, informed, ell, p, budget):
@@ -885,6 +898,38 @@ class TestRunCoupled:
         assert calls["sample_active"] == 1
         assert calls["step_naive"] == result[Algorithm.NAIVE].completion_time
         assert calls["step_naive"] > result[Algorithm.CYCLIC].phase1_end > 0
+
+
+def coupled_digest(cells, seed=1212):
+    """sha256 of every TraceResult field but the config, for all four
+    algorithms run coupled on each (N, p, stream) cell, trajectories on."""
+    records = []
+    for N, p, stream in cells:
+        config = ProtocolConfig(algorithm=Algorithm.NAIVE, N=N, p=p,
+                                record_trajectory=True)
+        coupled = run_coupled(config, tuple(Algorithm),
+                              RngStream(seed=seed, stream_id=stream))
+        for alg, r in coupled.items():
+            records.append([N, p, stream, alg.value, r.n_active,
+                            r.completion_time, r.cap_hit, r.phase1_end,
+                            r.threshold_times, r.trajectory])
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Outputs and draw order pinned to a digest recorded on the code
+    before the push kernel moved to one pending mask: a change of any
+    informed count, any phase boundary or any draw moves the digest."""
+
+    CELLS = ([(N, p, stream) for N in (8, 10, 1000, 2 ** 16)
+              for p in (0.3, 0.5) for stream in range(2)]
+             + [(2 ** 20, 0.5, 0)])
+    DIGEST = ("56376f2ca8a88fb8f4f645f2408294835c735a6f698ad28f"
+              "525862d55b958457")
+
+    def test_coupled_digest(self):
+        assert coupled_digest(self.CELLS) == self.DIGEST
 
 
 class TestLongestUninformedRun:

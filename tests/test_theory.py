@@ -62,21 +62,21 @@ class TestConstants:
 
 class TestLowerBoundTail:
     def test_frozen_value(self):
-        assert lower_bound_tail(1.0, 0.5, 6.0) == pytest.approx(
+        assert lower_bound_tail(0.5, 6.0) == pytest.approx(
             0.1755829903978052, abs=1e-12)
 
     def test_capped_at_one(self):
-        assert lower_bound_tail(1.0, 0.1, 0.0) == 1.0
+        assert lower_bound_tail(0.1, 0.0) == 1.0
 
-    @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.0, 30.0))
-    def test_decreasing_in_k(self, a, p, K):
-        assert lower_bound_tail(a, p, K + 1.0) <= lower_bound_tail(a, p, K)
+    @given(st.floats(0.05, 1.0), st.floats(0.0, 30.0))
+    def test_decreasing_in_k(self, p, K):
+        assert lower_bound_tail(p, K + 1.0) <= lower_bound_tail(p, K)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
-            lower_bound_tail(2.0, 0.5, 1.0)
+            lower_bound_tail(1.5, 1.0)
         with pytest.raises(ConfigError):
-            lower_bound_tail(1.0, 0.5, -1.0)
+            lower_bound_tail(0.5, -1.0)
 
 
 class TestStepKernel:
