@@ -8,7 +8,8 @@ protocol run ends when every active node is informed.
 A trial's network is two boolean arrays of length N, the active mask and
 the pending mask (the active nodes not yet informed, a subset of it); its
 clock and informed count are the length and last entry of its list of
-informed counts, one per round.
+informed counts, one per round. A trial builds its protocol generator at
+its first protocol draw, so a trial that draws nothing builds none.
 """
 from __future__ import annotations
 
@@ -86,7 +87,8 @@ class RngStream:
         return self._generator(_DOMAIN_ACTIVE)
 
     def protocol_generator(self) -> np.random.Generator:
-        """Generator used for all in-protocol random choices."""
+        """Generator used for all in-protocol random choices, built anew
+        on each call; a run calls it at its first draw."""
         return self._generator(_DOMAIN_PROTOCOL)
 
 

@@ -38,26 +38,70 @@ class TraceResult:
     trajectory: Optional[List[int]] = None
 
 
-def step_naive(pending: np.ndarray, k: int, gen: np.random.Generator) -> int:
+_DRAW_BATCH = 256  # fewest push targets fetched from the generator at once
+_NO_TARGETS = np.empty(0, dtype=np.int64)
+
+
+class _Targets:
+    """The push targets of one trial: the one stream gen.integers(0, N)
+    gives, fetched at least _DRAW_BATCH values at a time. The generator
+    comes from the zero-argument factory make_gen at the first draw, so a
+    trial that draws nothing builds none. Bounded-integer draws are
+    chunk-invariant, so the chunks concatenate to exactly that stream.
+    Between rounds only a batch remainder, shorter than _DRAW_BATCH, is
+    kept; the values over-drawn at a trial's end are never read."""
+
+    __slots__ = ("_make_gen", "_N", "_gen", "_left")
+
+    def __init__(self, make_gen, N: int) -> None:
+        self._make_gen = make_gen
+        self._N = N
+        self._gen = None
+        self._left = _NO_TARGETS  # the rest of the current batch
+
+    def take(self, k: int):
+        """The next k >= 1 targets of the stream, as at most two non-empty
+        arrays: the rest of the current batch, then a fresh draw of
+        max(need, _DRAW_BATCH) values of which the first need are used."""
+        left = self._left
+        if k <= len(left):
+            self._left = left[k:]
+            return (left[:k],)
+        need = k - len(left)
+        if self._gen is None:
+            self._gen = self._make_gen()
+        fresh = self._gen.integers(0, self._N, size=max(need, _DRAW_BATCH))
+        # a view of a round-sized draw would keep it alive into the next
+        # round's draw, which would then land on fresh pages
+        self._left = fresh[need:] if need < _DRAW_BATCH else _NO_TARGETS
+        fresh = fresh[:need]
+        return (left, fresh) if len(left) else (fresh,)
+
+
+def step_naive(pending: np.ndarray, k: int, targets: _Targets) -> int:
     """One random-push round on the pending mask (active, not yet informed)
-    of N nodes: each of the k informed nodes targets a uniform node, drawn
-    as one batch gen.integers(0, N, size=k). Every target leaves pending in
-    place, a scatter with no gather, as an inactive or informed target is
-    not pending anyway. Returns the count still pending."""
-    pending[gen.integers(0, len(pending), size=k)] = False
+    of N nodes: each of the k informed nodes targets a uniform node, the
+    next k values of the trial's one stream gen.integers(0, N), which
+    targets fetches at least _DRAW_BATCH at a time (the over-draw is never
+    read). Every target leaves pending in place, one scatter per piece of
+    the stream and no gather, as an inactive or informed target is not
+    pending anyway. Returns the count still pending."""
+    for piece in targets.take(k):
+        pending[piece] = False
     return int(np.count_nonzero(pending))
 
 
-def _push(pending: np.ndarray, gen: np.random.Generator, n: int, limit: int,
+def _push(pending: np.ndarray, targets: _Targets, n: int, limit: int,
           counts: List[int]) -> None:
     """Push rounds until all n are informed or the clock, len(counts) - 1,
     reaches limit, appending the informed count after each round to counts."""
     while counts[-1] < n and len(counts) <= limit:
-        counts.append(n - step_naive(pending, counts[-1], gen))
+        counts.append(n - step_naive(pending, counts[-1], targets))
 
 
-def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
-    """Cyclic sweeps in closed form; returns (au_positions, cover_offsets).
+def _cyclic_phase2_offsets(informed: np.ndarray, pending: np.ndarray):
+    """Cyclic sweeps in closed form; returns (au_positions, cover_offsets),
+    au_positions being the pending (active, uninformed) nodes.
 
     A node x informed when phase 2 starts targets x + s at phase-2 step s,
     and a relay informed at step s repeats its informer's targets from
@@ -66,9 +110,9 @@ def _cyclic_phase2_offsets(active: np.ndarray, informed: np.ndarray):
     informed predecessor on the ring. Index -1 of the informed positions
     wraps around the ring for nodes before the first informed one.
     """
-    au = (active > informed).nonzero()[0]  # active and not informed
+    au = pending.nonzero()[0]
     sources = informed.nonzero()[0]
-    return au, (au - sources[sources.searchsorted(au) - 1]) % len(active)
+    return au, (au - sources[sources.searchsorted(au) - 1]) % len(informed)
 
 
 def _segment_counts(mask: np.ndarray, ell: int) -> np.ndarray:
@@ -82,15 +126,16 @@ def _segment_counts(mask: np.ndarray, ell: int) -> np.ndarray:
     return counts
 
 
-def _segment_census(active: np.ndarray, informed: np.ndarray, ell: int,
+def _segment_census(informed: np.ndarray, pending: np.ndarray, ell: int,
                     p: float):
-    """Per-segment informed and active counts and goodness."""
+    """Per-segment informed and active counts and goodness; a segment's
+    active nodes are its informed plus its pending ones."""
     seeded = _segment_counts(informed, ell)
-    act = _segment_counts(active, ell)
+    act = seeded + _segment_counts(pending, ell)
     # after the intra-segment broadcast every active node in a seeded segment
     # is informed, so the census is (seeded) and (enough actives)
     good = (seeded > 0) & (act >= math.ceil(ell * (p / 2.0)))
-    tail = len(active) - (len(seeded) - 1) * ell  # the last segment's length
+    tail = len(informed) - (len(seeded) - 1) * ell  # the last segment's length
     good[-1] = seeded[-1] > 0 and act[-1] >= math.ceil(tail * (p / 2.0))
     return seeded, act, good
 
@@ -121,11 +166,12 @@ def _ring_keep(unsat: np.ndarray, late: np.ndarray,
     return keep
 
 
-def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
+def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
                              ell: int, p: float, budget: int):
     """Segment broadcast plus coalescing forward waves.
 
-    Returns (au_positions, cover_offsets) where cover_offsets[i] is the
+    Returns (au_positions, cover_offsets) where au_positions are the
+    pending (active, uninformed) nodes and cover_offsets[i] is the
     phase-2 step at which active uninformed node au_positions[i] becomes
     informed, or _UNSET for nodes the waves never reached within budget.
 
@@ -163,10 +209,10 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
     stepped: their merges reach only saturated or unstepped waves, which
     changes no cover. Merges can cycle only once every node is covered.
     """
-    N = len(active)
-    seeded, act, good = _segment_census(active, informed, ell, p)
+    N = len(informed)
+    seeded, act, good = _segment_census(informed, pending, ell, p)
     S = len(seeded)
-    au = (active > informed).nonzero()[0]  # active and not informed
+    au = pending.nonzero()[0]
     # 2a schedule: a position's rank among its segment's non-informed slots
     seg = au // ell
     rank = np.zeros(len(au), dtype=np.int64)
@@ -257,13 +303,13 @@ def _improved_phase2_offsets(active: np.ndarray, informed: np.ndarray,
     return au, cover
 
 
-def _phase2(alg: Algorithm, config: ProtocolConfig, active: np.ndarray,
-            informed: np.ndarray, n: int, counts: List[int],
+def _phase2(alg: Algorithm, config: ProtocolConfig, informed: np.ndarray,
+            pending: np.ndarray, n: int, counts: List[int],
             cap: int) -> List[int]:
     """Phase 2 from the masks phase 1 left; counts is phase 1's informed
     count after each step, so its last entry is k and the clock len - 1.
 
-    The engine gives each active uninformed node the step that informs it;
+    The engine gives each pending node the step that informs it;
     returns the informed count after each phase-2 step up to the last cover
     or the cap, whichever comes first.
     """
@@ -271,9 +317,10 @@ def _phase2(alg: Algorithm, config: ProtocolConfig, active: np.ndarray,
     budget = cap - (len(counts) - 1)
     if k >= n or budget <= 0:
         return []
-    _, cover = (_cyclic_phase2_offsets(active, informed)
+    _, cover = (_cyclic_phase2_offsets(informed, pending)
                 if alg is Algorithm.CYCLIC else _improved_phase2_offsets(
-                    active, informed, config.segment_length, config.p, budget))
+                    informed, pending, config.segment_length, config.p,
+                    budget))
     covered = cover <= budget
     last = int(cover.max(initial=0)) if covered.all() else budget
     return (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
@@ -330,36 +377,41 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     run() of its algorithm alone. The oracle draws its targets from a fresh
     protocol generator; the others share one phase 1 on another, push
     rounds on a pending mask run to the phased schedule (the cap for naive
-    alone). Each phase-2 engine starts from the informed mask it leaves,
-    active ^ pending, and naive then keeps stepping the pending mask.
+    alone). Their targets come from one stream, fetched at least
+    _DRAW_BATCH at a time; what is over-drawn is never read. Each phase-2
+    engine starts from the pending mask and the informed mask phase 1
+    leaves, active ^ pending, built in the active mask's place, and naive
+    then keeps stepping the pending mask. A protocol generator is built only when a run first draws: a
+    trial with no node but node 0 active builds none.
     """
     active = sample_active(config.N, config.p, rng)
     n = int(np.count_nonzero(active))
     cap = config.step_cap
     runs = {}  # algorithm -> (informed counts, phase1_end)
     if Algorithm.ORACLE in algorithms:
-        runs[Algorithm.ORACLE] = (_run_oracle(
-            active, n, cap, rng.protocol_generator()), None)
+        oracle = (_run_oracle(active, n, cap, rng.protocol_generator())
+                  if n > 1 else [1])  # node 0 alone: nothing to draw
+        runs[Algorithm.ORACLE] = (oracle, None)
     phased = [alg for alg in algorithms
               if alg in (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)]
     naive = Algorithm.NAIVE in algorithms
     if phased or naive:
         pending = active.copy()
         pending[0] = False
-        gen = rng.protocol_generator()
+        targets = _Targets(rng.protocol_generator, config.N)
         counts = [1]
         limit = (min(phase1_steps(config.N, config.p,
                                   default_phase1_slack(config.N)), cap)
                  if phased else cap)
-        _push(pending, gen, n, limit, counts)
+        _push(pending, targets, n, limit, counts)
         phase1_end = len(counts) - 1
-        if phased:
-            informed = active ^ pending
+        if phased:  # in place: the active mask is not read again
+            informed = np.logical_xor(active, pending, out=active)
         for alg in phased:  # a new list each, so naive's appends stay its own
-            runs[alg] = (counts + _phase2(alg, config, active, informed, n,
+            runs[alg] = (counts + _phase2(alg, config, informed, pending, n,
                                           counts, cap), phase1_end)
         if naive:
-            _push(pending, gen, n, cap, counts)
+            _push(pending, targets, n, cap, counts)
             runs[Algorithm.NAIVE] = (counts, None)
     results = {}
     for alg in algorithms:  # in the order asked for

@@ -47,45 +47,51 @@ def all_active_pending(N, informed_idx):
     return pending
 
 
+def push_targets(seed, N):
+    """The push-target stream of trial stream RngStream(seed), as
+    run_coupled builds it for N nodes."""
+    return protocols._Targets(RngStream(seed=seed).protocol_generator, N)
+
+
 class TestStepNaive:
     def test_two_node_half_split(self):
-        gen = RngStream(seed=11).protocol_generator()
+        targets = push_targets(11, 2)
         hits = 0
         reps = 4000
         for _ in range(reps):
-            hits += 1 - step_naive(all_active_pending(2, [0]), 1, gen)
+            hits += 1 - step_naive(all_active_pending(2, [0]), 1, targets)
         assert abs(hits / reps - 0.5) < 0.03
 
     def test_three_node_two_thirds(self):
-        gen = RngStream(seed=12).protocol_generator()
+        targets = push_targets(12, 3)
         hits = 0
         reps = 4000
         for _ in range(reps):
-            hits += 2 - step_naive(all_active_pending(3, [0]), 1, gen)
+            hits += 2 - step_naive(all_active_pending(3, [0]), 1, targets)
         assert abs(hits / reps - 2 / 3) < 0.03
 
     def test_one_step_law_matches_kernel(self):
         # fully active, k=3 informed, u=13: counts vs the exact one-round law
         N, k = 16, 3
-        gen = RngStream(seed=13).protocol_generator()
+        targets = push_targets(13, N)
         reps = 10 ** 5
         template = all_active_pending(N, range(k))
         counts = np.zeros(N - k + 1, dtype=np.int64)
         for _ in range(reps):
-            counts[N - k - step_naive(template.copy(), k, gen)] += 1
+            counts[N - k - step_naive(template.copy(), k, targets)] += 1
         exact = naive_step_kernel(N, k, N - k)
         tv = 0.5 * np.abs(counts / reps - exact).sum()
         assert tv <= 0.02
 
     def test_never_informs_inactive(self):
-        gen = RngStream(seed=14).protocol_generator()
+        targets = push_targets(14, 20)
         active = np.zeros(20, dtype=bool)
         active[[0, 3, 7]] = True
         pending = active.copy()
         pending[0] = False
         k = 1
         for _ in range(50):
-            left = step_naive(pending, k, gen)
+            left = step_naive(pending, k, targets)
             assert not np.any(pending & ~active)
             assert left == np.count_nonzero(pending)
             k = 3 - left
@@ -98,38 +104,69 @@ class TestStepNaive:
         pending = active.copy()
         pending[0] = False
         n = int(np.count_nonzero(active))
-        gen = rng.protocol_generator()
+        targets = push_targets(seed, N)
         previous = pending.copy()
         k = 1
         for _ in range(5):
-            k = n - step_naive(pending, k, gen)
+            k = n - step_naive(pending, k, targets)
             assert np.all(pending <= previous)
             previous = pending.copy()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-           st.integers(0, 2 ** 32))
-    def test_round_contract(self, N, p_active, p_informed, seed):
-        # any active mask and informed subset of it: the round is exactly
-        # one gen.integers(0, N, size=k) batch, the draw order that
-        # (seed, stream_id) coupling rests on, and it clears exactly the
-        # drawn targets from the pending mask
+           st.integers(0, 2 ** 32), st.data())
+    def test_round_contract(self, N, p_active, p_informed, seed, data):
+        # any active mask and informed subset of it, stepped by rounds of
+        # any size, some below _DRAW_BATCH and some above: round after
+        # round the targets are the next k values of the one stream
+        # gen.integers(0, N), the draw order that (seed, stream_id)
+        # coupling rests on, and a round clears exactly its targets from
+        # the pending mask
+        batch = protocols._DRAW_BATCH
+        ks = data.draw(st.permutations(
+            data.draw(st.lists(st.integers(1, batch - 1), min_size=1,
+                               max_size=4))
+            + data.draw(st.lists(st.integers(batch, 3 * batch), min_size=1,
+                                 max_size=3))))
         masks = np.random.default_rng(seed)
         active = masks.random(N) < p_active
-        informed = active & (masks.random(N) < p_informed)
-        pending = active & ~informed
-        before = pending.copy()
-        k = int(np.count_nonzero(informed))
-        gen = np.random.Generator(np.random.PCG64(seed))
-        twin = np.random.Generator(np.random.PCG64(seed))
-        count = step_naive(pending, k, gen)
-        targets = twin.integers(0, N, size=k)
-        assert gen.bit_generator.state == twin.bit_generator.state
-        assert not np.any(pending[targets])
-        untouched = np.ones(N, dtype=bool)
-        untouched[targets] = False
-        assert np.array_equal(pending[untouched], before[untouched])
-        assert count == np.count_nonzero(pending)
+        pending = active & ~(masks.random(N) < p_informed)
+        targets = protocols._Targets(
+            lambda: np.random.Generator(np.random.PCG64(seed)), N)
+        stream = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, N, size=sum(ks))
+        used = 0
+        for k in ks:
+            before = pending.copy()
+            count = step_naive(pending, k, targets)
+            drawn = stream[used:used + k]
+            used += k
+            assert not np.any(pending[drawn])
+            untouched = np.ones(N, dtype=bool)
+            untouched[drawn] = False
+            assert np.array_equal(pending[untouched], before[untouched])
+            assert count == np.count_nonzero(pending)
+
+
+class TestDrawChunking:
+    """The push rounds fetch one stream of bounded integers in batches,
+    which equals the single draw only because numpy's bounded-integer
+    draws are chunk-invariant: chunks of one integers(0, M) stream
+    concatenate to exactly one draw of their total size."""
+
+    @pytest.mark.parametrize("M", [2, 3, 8, 2 ** 20 + 3, 3 * 10 ** 9,
+                                   2 ** 33 + 1])
+    def test_chunks_concatenate_to_one_draw(self, M):
+        chunks = [1, 255, 256, 3000, 1, 7, 256, 513]
+        whole = np.random.Generator(np.random.PCG64(1313))
+        expected = whole.integers(0, M, size=sum(chunks))
+        gen = np.random.Generator(np.random.PCG64(1313))
+        got = np.concatenate([gen.integers(0, M, size=c) for c in chunks])
+        assert np.array_equal(got, expected) and (
+            gen.bit_generator.state == whole.bit_generator.state), (
+            f"numpy {np.__version__}: chunked integers(0, {M}) draws no "
+            "longer equal one draw; the batched push targets in "
+            "protocols._Targets rely on it")
 
 
 class TestRunNaive:
@@ -206,7 +243,7 @@ def reference_run_cyclic(config, rng):
     active = sample_active(config.N, config.p, rng)
     pending = active.copy()
     pending[0] = False
-    gen = rng.protocol_generator()
+    targets = protocols._Targets(rng.protocol_generator, config.N)
     n = int(np.count_nonzero(active))
     counts = [1]  # the informed count after each step
     cap = config.step_cap
@@ -214,7 +251,7 @@ def reference_run_cyclic(config, rng):
                              default_phase1_slack(config.N)), cap)
     k = 1
     while k < n and len(counts) <= limit:
-        k = n - step_naive(pending, k, gen)
+        k = n - step_naive(pending, k, targets)
         counts.append(k)
     phase1_end = len(counts) - 1
     if k < n:
@@ -231,18 +268,23 @@ def reference_run_cyclic(config, rng):
         trajectory=counts if config.record_trajectory else None)
 
 
+def cyclic_offsets(active, informed):
+    """The cyclic engine on the (active, informed) masks of a network."""
+    return _cyclic_phase2_offsets(informed, active & ~informed)
+
+
 class TestCyclicPhase2:
     def test_gap_closes_one_node_per_step(self):
         # all active, uninformed run of length g: exactly g further steps
         for g in (1, 3, 5):
             N = 12
-            _, cover = _cyclic_phase2_offsets(
+            _, cover = cyclic_offsets(
                 *fully_active(N, [i for i in range(N) if not 4 <= i < 4 + g]))
             clock = int(cover.max())
             assert clock == g
 
     def test_strict_progress_until_complete(self):
-        _, cover = _cyclic_phase2_offsets(*fully_active(30, [0]))
+        _, cover = cyclic_offsets(*fully_active(30, [0]))
         trajectory = [1] + (1 + np.bincount(cover).cumsum()[1:]).tolist()
         assert trajectory[-1] == 30
         assert all(b > a for a, b in zip(trajectory, trajectory[1:]))
@@ -265,7 +307,7 @@ class TestCyclicPhase2:
         active[0] = True
         informed = active & (gen.random(N) < p_informed)
         informed[0] = True
-        au, cover = _cyclic_phase2_offsets(active, informed)
+        au, cover = cyclic_offsets(active, informed)
         n = int(active.sum())
         k, informed_at = reference_cyclic_phase2(
             active, informed.copy(), n, [int(informed.sum())], cap=N)
@@ -493,19 +535,20 @@ def post_phase1_state(N, p, stream):
     active = sample_active(N, p, rng)
     pending = active.copy()
     pending[0] = False
-    gen = rng.protocol_generator()
+    targets = protocols._Targets(rng.protocol_generator, N)
     n = int(np.count_nonzero(active))
     counts = [1]
     while (counts[-1] < n
            and len(counts) <= phase1_steps(N, p, default_phase1_slack(N))):
-        counts.append(n - step_naive(pending, counts[-1], gen))
+        counts.append(n - step_naive(pending, counts[-1], targets))
     return active, active & ~pending, counts
 
 
 def engine_offsets(active, informed, ell, p, budget):
-    au, cover = _improved_phase2_offsets(
-        np.asarray(active, dtype=bool), np.asarray(informed, dtype=bool),
-        ell, p, budget)
+    active = np.asarray(active, dtype=bool)
+    informed = np.asarray(informed, dtype=bool)
+    au, cover = _improved_phase2_offsets(informed, active & ~informed, ell,
+                                         p, budget)
     return {int(x): int(c) for x, c in zip(au, cover) if c <= budget}
 
 
@@ -607,7 +650,7 @@ class TestImprovedPhase2:
         budget = default_max_steps(N, p) - (len(counts) - 1)
         for ell in (default_segment_length(N), 2, 8):
             au, cover = _improved_phase2_offsets(
-                active, informed, ell, p, budget)
+                informed, active & ~informed, ell, p, budget)
             ref_au, ref_cover = sequential_phase2(
                 active, informed, ell, p, budget)
             assert np.array_equal(au, ref_au), (N, p, ell)
@@ -668,7 +711,8 @@ class TestImprovedPhase2:
         active, informed, counts = post_phase1_state(N, p, stream=int(10 * p))
         budget = default_max_steps(N, p) - (len(counts) - 1)
         ell = default_segment_length(N)
-        au, cover = _improved_phase2_offsets(active, informed, ell, p, budget)
+        au, cover = _improved_phase2_offsets(
+            informed, active & ~informed, ell, p, budget)
         ref_au, ref_cover = sequential_phase2(active, informed, ell, p, budget)
         assert np.array_equal(au, ref_au)
         assert np.array_equal(cover, ref_cover)
@@ -735,7 +779,8 @@ class TestSegmentView:
         active = np.ones(10, dtype=bool)
         informed = np.zeros(10, dtype=bool)
         informed[0] = True
-        seeded, act, good = _segment_census(active, informed, 4, 1.0)
+        seeded, act, good = _segment_census(informed, active & ~informed, 4,
+                                            1.0)
         assert seeded.tolist() == [1, 0, 0]  # segments [0,4) [4,8) [8,10)
         assert act.tolist() == [4, 4, 2]
         assert good.tolist() == [True, False, False]  # unseeded are bad
@@ -750,7 +795,7 @@ class TestSegmentView:
         active[[0, 8]] = True
         informed = np.zeros(10, dtype=bool)
         informed[[0, 8]] = True
-        *_, good = _segment_census(active, informed, 4, 1.0)
+        *_, good = _segment_census(informed, active & ~informed, 4, 1.0)
         assert good[2]
         assert not good[0]  # 1 active of 4 needed 2
 
@@ -899,6 +944,37 @@ class TestRunCoupled:
         assert calls["step_naive"] == result[Algorithm.NAIVE].completion_time
         assert calls["step_naive"] > result[Algorithm.CYCLIC].phase1_end > 0
 
+    @pytest.mark.parametrize("algorithms", [(alg,) for alg in Algorithm]
+                             + [tuple(Algorithm)])
+    def test_no_draw_builds_no_generator(self, algorithms, monkeypatch):
+        # at N = 2 with node 1 inactive node 0 is informed at step 0, so no
+        # run draws a target and none builds a protocol generator; with
+        # node 1 active every run draws, the oracle on a generator of its
+        # own and the other three on one shared one
+        builds = []
+        original = RngStream.protocol_generator
+
+        def counting(rng):
+            builds.append(rng)
+            return original(rng)
+
+        monkeypatch.setattr(RngStream, "protocol_generator", counting)
+        config = ProtocolConfig(algorithm=algorithms[0], N=2, p=0.5)
+        seen = {False: 0, True: 0}  # streams by whether node 1 is active
+        for stream in range(40):
+            rng = RngStream(seed=44, stream_id=stream)
+            node1 = bool(sample_active(2, 0.5, rng)[1])
+            del builds[:]
+            result = run_coupled(config, algorithms, rng)
+            if not node1:
+                assert all(r.completion_time == 0 for r in result.values())
+            expected = ((Algorithm.ORACLE in algorithms)
+                        + (set(algorithms) != {Algorithm.ORACLE})
+                        if node1 else 0)
+            assert len(builds) == expected, (stream, node1)
+            seen[node1] += 1
+        assert min(seen.values()) > 5
+
 
 def coupled_digest(cells, seed=1212):
     """sha256 of every TraceResult field but the config, for all four
@@ -931,6 +1007,18 @@ class TestPinnedOutputs:
     def test_coupled_digest(self):
         assert coupled_digest(self.CELLS) == self.DIGEST
 
+    # where batched push targets and generators built at the first draw
+    # could show: N = 2 and 3, where many trials draw nothing, and N = 600
+    # at p = 1.0, where a round's k crosses the batch size mid-trial;
+    # recorded on the code that drew each round's targets in one call
+    BOUNDARY_CELLS = [(N, p, stream) for N in (2, 3, 600) for p in (0.3, 1.0)
+                      for stream in range(3)]
+    BOUNDARY_DIGEST = ("2c782e1af0b1a09c0f420b9f2cacbdbf4bd8004a5496bcb8"
+                       "8f64471a4311c572")
+
+    def test_batch_boundary_digest(self):
+        assert coupled_digest(self.BOUNDARY_CELLS) == self.BOUNDARY_DIGEST
+
 
 class TestLongestUninformedRun:
     # on a fully active ring the last node of the longest uninformed run is
@@ -944,7 +1032,7 @@ class TestLongestUninformedRun:
         (5, [2, 3], 3),
     ])
     def test_fixtures(self, N, informed_idx, expected):
-        _, cover = _cyclic_phase2_offsets(*fully_active(N, informed_idx))
+        _, cover = cyclic_offsets(*fully_active(N, informed_idx))
         assert cover.max(initial=0) == expected
 
     @settings(max_examples=80, deadline=None)
@@ -959,7 +1047,7 @@ class TestLongestUninformedRun:
             while length < N and not flags[(start + length) % N]:
                 length += 1
             best = max(best, length)
-        _, cover = _cyclic_phase2_offsets(active, informed)
+        _, cover = cyclic_offsets(active, informed)
         assert cover.max(initial=0) == best
 
 
