@@ -12,7 +12,7 @@ from .core import (
     phase1_steps,
     sample_active,
 )
-from .protocols import TraceResult, run, run_coupled, step_naive
+from .protocols import TraceResult, run, run_coupled
 from .theory import (
     ExactLaw,
     TheoryConstants,
@@ -42,7 +42,7 @@ __all__ = [
     "Algorithm", "ConfigError", "ProtocolConfig", "RngStream",
     "default_max_steps", "default_phase1_slack", "default_segment_length",
     "phase1_steps", "sample_active",
-    "TraceResult", "run", "run_coupled", "step_naive",
+    "TraceResult", "run", "run_coupled",
     "ExactLaw", "TheoryConstants", "constant", "cyclic_beats_naive",
     "exact_naive_law", "exact_oracle_law", "lower_bound_tail",
     "naive_step_kernel",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -40,6 +42,61 @@ class TestRngStream:
     def test_out_of_range_ids_rejected(self, seed, stream):
         with pytest.raises(ConfigError):
             RngStream(seed=seed, stream_id=stream)
+
+    def test_value_semantics_survive_the_cache(self):
+        s = RngStream(seed=2 ** 40 + 9, stream_id=2 ** 33 + 1)
+        s.active_generator()
+        s.protocol_generator()
+        fresh = RngStream(seed=2 ** 40 + 9, stream_id=2 ** 33 + 1)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert s != RngStream(seed=2 ** 40 + 9, stream_id=2 ** 33)
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and hash(copy) == hash(s)
+        assert (copy.protocol_generator().bit_generator.state
+                == fresh.protocol_generator().bit_generator.state)
+
+    def test_protocol_generators_do_not_alias(self):
+        # run_coupled builds the oracle's generator and the push targets'
+        # generator from one stream
+        s = RngStream(seed=7, stream_id=3)
+        a, b = s.protocol_generator(), s.protocol_generator()
+        assert a is not b and a.bit_generator is not b.bit_generator
+        assert a.bit_generator.state == b.bit_generator.state
+        a.random(5)
+        assert a.bit_generator.state != b.bit_generator.state
+
+
+def seed_sequence_states(seed, stream_id):
+    """The bit-generator states numpy's own SeedSequence path gives each
+    domain of stream (seed, stream_id): the slow reference of RngStream."""
+    return [np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(stream_id, domain))).state
+        for domain in (0, 1)]
+
+
+def assert_seeded_as_seed_sequence(seed, stream_id):
+    s = RngStream(seed=seed, stream_id=stream_id)
+    got = [s.active_generator().bit_generator.state,
+           s.protocol_generator().bit_generator.state]
+    assert got == seed_sequence_states(seed, stream_id), (
+        f"numpy {np.__version__}: RngStream({seed}, {stream_id}) no longer "
+        "seeds its generators as SeedSequence(entropy=seed, "
+        "spawn_key=(stream_id, domain)); core's port of its mixing has "
+        "to follow numpy's")
+
+
+class TestSeedSequencePort:
+    EDGES = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63,
+             2 ** 64 - 1]
+
+    def test_edge_pairs(self):
+        for seed, stream_id in itertools.product(self.EDGES, repeat=2):
+            assert_seeded_as_seed_sequence(seed, stream_id)
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs(self, seed, stream_id):
+        assert_seeded_as_seed_sequence(seed, stream_id)
 
 
 class TestPhase1Steps:
