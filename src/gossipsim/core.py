@@ -15,8 +15,8 @@ Each generator is a PCG64 seeded exactly as from numpy's
 SeedSequence(entropy=seed, spawn_key=(stream_id, domain)), but without
 building one: a plain-Python port of SeedSequence's mixing computes the
 four state words, and the seed's share of the mixing is cached per seed,
-the stream's per RngStream. So a generator's bit_generator.seed_seq is a
-words object, not a SeedSequence, and Generator.spawn is unsupported.
+the stream's per (seed, stream_id). So a generator's bit_generator.seed_seq
+is a words object, not a SeedSequence, and Generator.spawn is unsupported.
 """
 from __future__ import annotations
 
@@ -129,9 +129,11 @@ def _seed_pool(seed: int) -> Tuple[int, ...]:
     return tuple(pool)
 
 
+@lru_cache(maxsize=64)
 def _stream_pool(seed: int, stream_id: int):
     """The pool once seed and stream_id are absorbed, and the hashed domain
-    words to absorb next, indexed by domain."""
+    words to absorb next, indexed by domain. Called with Python ints: the
+    mixing overflows in a numpy integer's fixed width."""
     pool, i = _seed_pool(seed), 16
     for word in ((stream_id,) if stream_id <= _MASK32
                  else (stream_id & _MASK32, stream_id >> 32)):
@@ -191,30 +193,20 @@ class _StateWords(ISeedSequence):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic per-trial randomness, independent across stream_ids.
-
-    The stream's share of the seeding is computed at its first generator
-    and kept on the instance, outside the fields: equality and hash see
-    seed and stream_id alone."""
+    """Deterministic per-trial randomness, independent across stream_ids."""
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (0 <= int(self.stream_id) < 2 ** 64):
-            raise ConfigError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
+        _uint64(self.seed, "seed")
+        _uint64(self.stream_id, "stream_id")
 
     def _generator(self, domain: int) -> np.random.Generator:
         """Generator(PCG64(SeedSequence(entropy=seed,
         spawn_key=(stream_id, domain)))), in the same state, built from the
         ported mixing."""
-        mixed = self.__dict__.get("_mixed")
-        if mixed is None:  # kept beside the frozen fields, not among them
-            mixed = self.__dict__["_mixed"] = _stream_pool(int(self.seed),
-                                                          int(self.stream_id))
-        pool, hashed = mixed
+        pool, hashed = _stream_pool(int(self.seed), int(self.stream_id))
         return np.random.Generator(np.random.PCG64(
             _StateWords(_state_words(pool, hashed[domain]))))
 
@@ -309,6 +301,16 @@ def _positive_int(value, name: str) -> int:
     raise ConfigError(f"{name} must be a positive integer, got {value}")
 
 
+def _uint64(value, name: str) -> int:
+    """value as an int; ConfigError unless it is an integer in [0, 2^64)
+    (numpy integers are; a bool, a float or a string is not)."""
+    if (isinstance(value, (int, numbers.Integral))
+            and not isinstance(value, bool) and 0 <= value < 2 ** 64):
+        return int(value)
+    raise ConfigError(f"{name} must be a 64-bit unsigned integer, got "
+                      f"{value!r}")
+
+
 def _is_real(value) -> bool:
     """A real number: numpy floats and integers are; a bool or a string is
     not. float is tested first, as _positive_int tests int."""
@@ -320,7 +322,7 @@ def _probability(p) -> float:
     """p as a float; ConfigError unless it is a real number in (0, 1]."""
     if _is_real(p) and 0.0 < p <= 1.0:
         return float(p)
-    raise ConfigError(f"p must lie in (0, 1], got {p}")
+    raise ConfigError(f"p must lie in (0, 1], got {p!r}")
 
 
 # sample_active draws its uniforms this many at a time, so the float64

@@ -30,6 +30,8 @@ from .core import (
     ConfigError,
     ProtocolConfig,
     RngStream,
+    _positive_int,
+    _uint64,
     sample_active,
 )
 from . import theory
@@ -127,8 +129,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("grid must be nonempty")
-        if int(self.trials_per_cell) < 1:
-            raise ConfigError("trials_per_cell must be >= 1")
+        _positive_int(self.trials_per_cell, "trials_per_cell")
+        _uint64(self.base_seed, "base_seed")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         for cell in self.grid:
@@ -351,8 +353,7 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
         raise ConfigError("N ladder needs at least 2 entries")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ConfigError("N ladder must be strictly increasing")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    _positive_int(trials, "trials")
     c_theory = [constant(alg, p) for alg in algorithms]
     out: Dict[Algorithm, List[SweepRow]] = {alg: [] for alg in algorithms}
     for N, (T, _, _) in zip(N_list, _rungs(tuple(algorithms), p, N_list,
@@ -392,10 +393,12 @@ def _ensemble(config: ProtocolConfig, algorithms: Tuple[Algorithm, ...],
 
 def _rungs(algorithms: Tuple[Algorithm, ...], p: float, N_list: Sequence[int],
            trials: int, seed: int):
-    """One coupled ensemble per rung ci, on streams ci*trials + ti."""
-    return [_ensemble(ProtocolConfig(algorithms[0], int(N), p), algorithms,
-                      seed, range(ci * trials, (ci + 1) * trials))
-            for ci, N in enumerate(N_list)]
+    """One coupled ensemble per rung ci, on streams ci*trials + ti. Every
+    rung's config is checked before the first ensemble is built."""
+    configs = [ProtocolConfig(algorithms[0], N, p) for N in N_list]
+    return [_ensemble(config, algorithms, seed,
+                      range(ci * trials, (ci + 1) * trials))
+            for ci, config in enumerate(configs)]
 
 
 # ---------------------------------------------------------------------------

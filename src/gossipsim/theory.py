@@ -13,7 +13,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import Algorithm, ConfigError
+from .core import (Algorithm, ConfigError, _is_real, _positive_int,
+                   _probability)
 
 __all__ = [
     "TheoryConstants",
@@ -29,13 +30,6 @@ __all__ = [
 _NAIVE_LAW_MAX_N = 20
 _NAIVE_LAW_RESIDUAL = 1e-13  # uncompleted mass at which the naive DP stops
 _ORACLE_LAW_MAX_N = 64
-
-
-def _check_p(p: float, allow_one: bool) -> float:
-    p = float(p)
-    if not (0.0 < p < 1.0) and not (allow_one and p == 1.0):
-        raise ConfigError(f"p={p} outside the admissible range")
-    return p
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ def constant(algorithm: Algorithm, p: float) -> float:
     Natural logarithms throughout. p=1 is admitted with the finite limit
     values (the cyclic sweep term vanishes as p -> 1).
     """
-    p = _check_p(p, allow_one=True)
+    p = _probability(p)
     growth = 1.0 / math.log1p(p)
     if algorithm is Algorithm.NAIVE:
         return growth + 1.0 / p
@@ -84,7 +78,9 @@ def cyclic_beats_naive(p: float) -> float:
     Negativity certifies that the cyclic sweep term 1/(-ln(1-p)) is smaller
     than the naive straggler term 1/p, i.e. c_cyclic(p) < c_naive(p).
     """
-    p = _check_p(p, allow_one=False)
+    p = _probability(p)
+    if p == 1.0:
+        raise ConfigError("cyclic_beats_naive needs p < 1, got 1")
     return p + math.log1p(-p)
 
 
@@ -94,9 +90,9 @@ def lower_bound_tail(p: float, K: float) -> float:
     Bounds the probability that p*N nodes are informed within
     ln N/ln(1+p) - K steps, for any push protocol.
     """
-    if float(K) < 0.0:
-        raise ConfigError(f"K must be >= 0, got {K}")
-    p = _check_p(p, allow_one=True)
+    if not (_is_real(K) and K >= 0.0):
+        raise ConfigError(f"K must be a real number >= 0, got {K!r}")
+    p = _probability(p)
     return min(1.0, 1.0 / (p * (1.0 + p) ** float(K)))
 
 
@@ -210,10 +206,10 @@ def exact_naive_law(N: int, p: float) -> ExactLaw:
     mixed over the Binomial(N-1, p) law of the active count (node 0 is
     forced active). Mass below _NAIVE_LAW_RESIDUAL folds into the top atom.
     """
-    if not (1 <= int(N) <= _NAIVE_LAW_MAX_N):
+    N = _positive_int(N, "N")
+    if N > _NAIVE_LAW_MAX_N:
         raise ConfigError(f"exact_naive_law supports 1 <= N <= {_NAIVE_LAW_MAX_N}")
-    p = _check_p(p, allow_one=True)
-    N = int(N)
+    p = _probability(p)
     mixed: Dict[int, float] = {}
     for extra in range(N):
         weight = math.comb(N - 1, extra) * p ** extra * (1.0 - p) ** (N - 1 - extra)
@@ -236,10 +232,10 @@ def exact_oracle_law(N: int, p: float) -> ExactLaw:
     inactive, with probability (1-p)^u. The law is exact and finite: u
     strictly decreases every round.
     """
-    if not (1 <= int(N) <= _ORACLE_LAW_MAX_N):
+    N = _positive_int(N, "N")
+    if N > _ORACLE_LAW_MAX_N:
         raise ConfigError(f"exact_oracle_law supports 1 <= N <= {_ORACLE_LAW_MAX_N}")
-    p = _check_p(p, allow_one=True)
-    N = int(N)
+    p = _probability(p)
     if N == 1:
         return ExactLaw((0,), (1.0,))
     q = 1.0 - p

@@ -43,6 +43,29 @@ class TestRngStream:
         with pytest.raises(ConfigError):
             RngStream(seed=seed, stream_id=stream)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "7", None,
+                                       np.float64(3.0)])
+    def test_non_integer_ids_rejected(self, value):
+        with pytest.raises(ConfigError):
+            RngStream(seed=value)
+        with pytest.raises(ConfigError):
+            RngStream(seed=0, stream_id=value)
+
+    @pytest.mark.parametrize("seed,stream", [
+        (np.uint64(2 ** 64 - 1), np.int32(7)),
+        (np.int64(2 ** 40 + 9), np.uint64(2 ** 33 + 1)),
+        (np.uint8(3), np.int16(0))])
+    def test_numpy_integer_ids_draw_as_python_ints(self, seed, stream):
+        # the numpy stream first, so a cache keyed on numpy values would
+        # be seen by the Python one
+        numpy_ids = RngStream(seed=seed, stream_id=stream)
+        python_ids = RngStream(seed=int(seed), stream_id=int(stream))
+        for domain in ("active_generator", "protocol_generator"):
+            assert (getattr(numpy_ids, domain)().bit_generator.state
+                    == getattr(python_ids, domain)().bit_generator.state)
+        assert numpy_ids.protocol_generator().bit_generator.state == (
+            seed_sequence_states(int(seed), int(stream))[1])
+
     def test_value_semantics_survive_the_cache(self):
         s = RngStream(seed=2 ** 40 + 9, stream_id=2 ** 33 + 1)
         s.active_generator()

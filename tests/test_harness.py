@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -79,12 +80,23 @@ class TestExperimentSpec:
         lambda d: d.update(grid=[{"algorithm": "naive", "N": 8, "p": "0.5"}]),
         lambda d: d.update(epsilon="0.1"),
         lambda d: d.update(grid=[{"algorithm": "naive", "N": 8, "p": True}]),
+        # a seed outside [0, 2^64) fails with the spec, not at a trial
+        lambda d: d.update(base_seed=-3),
+        lambda d: d.update(base_seed=2 ** 64),
     ])
     def test_invalid_specs_rejected(self, tmp_path, mutate):
         data = spec_dict(tmp_path / "out.csv")
         mutate(data)
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials_per_cell", 2.5), ("trials_per_cell", True),
+        ("base_seed", -3), ("base_seed", 1.0)])
+    def test_constructor_checks_trials_and_seed(self, tmp_path, field, value):
+        spec = ExperimentSpec.from_dict(spec_dict(tmp_path / "out.csv"))
+        with pytest.raises(ConfigError):
+            dataclasses.replace(spec, **{field: value})
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -216,6 +228,13 @@ class TestConvergenceSweep:
             convergence_sweep(naive, 0.5, [512, 1024], trials=0)
         with pytest.raises(ConfigError):
             convergence_sweep((), 0.5, [512, 1024], trials=2)
+        # neither N nor trials is truncated to an integer
+        with pytest.raises(ConfigError):
+            convergence_sweep(naive, 0.5, [8.7, 16], trials=2)
+        with pytest.raises(ConfigError):
+            convergence_sweep(naive, 0.5, [8, 16.5], trials=2)
+        with pytest.raises(ConfigError):
+            convergence_sweep(naive, 0.5, [8, 16], trials=2.5)
 
     def test_oracle_full_activity_is_exact(self):
         rows = convergence_sweep((Algorithm.ORACLE,), 1.0, [2 ** 10, 2 ** 12],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gossipsim.core import (
     Algorithm,
     ProtocolConfig,
     RngStream,
-    default_max_steps,
     default_phase1_slack,
     default_segment_length,
     phase1_steps,
@@ -20,7 +20,6 @@ from gossipsim.core import (
 from gossipsim import protocols
 from gossipsim.protocols import (
     TraceResult,
-    _UNSET,
     _cyclic_phase2_offsets,
     _improved_phase2_offsets,
     _segment_census,
@@ -237,35 +236,67 @@ def first_passage(counts, level):
     return None
 
 
-def reference_run_cyclic(config, rng):
-    """A cyclic trial: step_naive to the phase-1 schedule, then phase 2
-    stepped by reference_cyclic_phase2."""
+def reference_phase1(config, rng):
+    """A phased trial's warm-up: step_naive to the phase-1 schedule or the
+    cap, whichever comes first. Returns the (active, informed) masks it
+    leaves and the informed count after each step."""
     active = sample_active(config.N, config.p, rng)
     pending = active.copy()
     pending[0] = False
     targets = protocols._Targets(rng.protocol_generator, config.N)
     n = int(np.count_nonzero(active))
     counts = [1]  # the informed count after each step
-    cap = config.step_cap
     limit = min(phase1_steps(config.N, config.p,
-                             default_phase1_slack(config.N)), cap)
-    k = 1
-    while k < n and len(counts) <= limit:
-        k = n - step_naive(pending, k, targets)
-        counts.append(k)
+                             default_phase1_slack(config.N)), config.step_cap)
+    while counts[-1] < n and len(counts) <= limit:
+        counts.append(n - step_naive(pending, counts[-1], targets))
+    return active, active & ~pending, counts
+
+
+def reference_run(config, rng):
+    """A cyclic or improved-cyclic trial: reference_phase1, then phase 2
+    stepped by its literal reference. The improved count after phase-2
+    step t is the warm-up's last count plus the offsets <= t."""
+    active, informed, counts = reference_phase1(config, rng)
     phase1_end = len(counts) - 1
-    if k < n:
-        k, _ = reference_cyclic_phase2(active, active & ~pending, n, counts,
-                                       cap)
+    n = int(np.count_nonzero(active))
+    cap = config.step_cap
+    if counts[-1] < n and config.algorithm is Algorithm.CYCLIC:
+        reference_cyclic_phase2(active, informed, n, counts, cap)
+    elif counts[-1] < n:
+        per_step = Counter(reference_phase2(
+            active, informed, config.segment_length, config.p,
+            cap - phase1_end).values())
+        while counts[-1] < n and len(counts) <= cap:
+            counts.append(counts[-1] + per_step[len(counts) - phase1_end])
     eps, p, N = config.epsilon, config.p, config.N
     return TraceResult(
         config=config, n_active=n, completion_time=len(counts) - 1,
-        cap_hit=k < n,
+        cap_hit=counts[-1] < n,
         phase1_end=phase1_end,
         threshold_times={"t_eps": first_passage(counts, eps * p * N),
                          "t_one_minus_eps": first_passage(
                              counts, (1.0 - eps) * p * N)},
         trajectory=counts if config.record_trajectory else None)
+
+
+def check_run_under_caps(algorithm, p, stream):
+    """run equals reference_run at N = 4096 with no cap, a cap at the end
+    of phase 1, one step past it and one inside phase 2."""
+    N = 4096
+    phase1_end = phase1_steps(N, p, default_phase1_slack(N))
+    full = reference_run(
+        ProtocolConfig(algorithm=algorithm, N=N, p=p, record_trajectory=True),
+        RngStream(seed=21, stream_id=stream))
+    assert full.completion_time > phase1_end + 3
+    inside = (phase1_end + full.completion_time) // 2
+    for cap in (None, phase1_end, phase1_end + 1, inside):
+        cfg = ProtocolConfig(algorithm=algorithm, N=N, p=p, max_steps=cap,
+                             record_trajectory=True)
+        got = run(cfg, RngStream(seed=21, stream_id=stream))
+        expected = reference_run(cfg, RngStream(seed=21, stream_id=stream))
+        assert got == expected, cap
+        assert got.cap_hit == (cap is not None)
 
 
 def cyclic_offsets(active, informed):
@@ -318,22 +349,7 @@ class TestCyclicPhase2:
     @pytest.mark.parametrize("p,stream", [(0.3, 0), (0.3, 3), (0.5, 1),
                                           (0.5, 2)])
     def test_run_matches_reference_under_caps(self, p, stream):
-        N = 4096
-        phase1_end = phase1_steps(N, p, default_phase1_slack(N))
-        full = reference_run_cyclic(
-            ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=p,
-                           record_trajectory=True),
-            RngStream(seed=21, stream_id=stream))
-        assert full.completion_time > phase1_end + 3
-        inside = (phase1_end + full.completion_time) // 2
-        for cap in (None, phase1_end, phase1_end + 1, inside):
-            cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=N, p=p,
-                                 max_steps=cap, record_trajectory=True)
-            got = run(cfg, RngStream(seed=21, stream_id=stream))
-            expected = reference_run_cyclic(
-                cfg, RngStream(seed=21, stream_id=stream))
-            assert got == expected, cap
-            assert got.cap_hit == (cap is not None)
+        check_run_under_caps(Algorithm.CYCLIC, p, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +392,7 @@ def reference_phase2(active, informed, ell, p, budget):
     for i in range(S):
         if good[i]:
             claimed_by[i] = len(waves)
-            waves.append({"origin": i, "front": (i + 1) % S,
+            waves.append({"id": len(waves), "origin": i, "front": (i + 1) % S,
                           "size": act[i], "progress": 0,
                           "cover_start": broadcast_len[i],
                           "alive": True, "merged_into": None})
@@ -403,9 +419,8 @@ def reference_phase2(active, informed, ell, p, budget):
                                      -w["size"], w["origin"]))
         for w in finished:
             s_id = w["front"]
-            wid = waves.index(w)
             if claimed_by[s_id] == -1:
-                claimed_by[s_id] = wid
+                claimed_by[s_id] = w["id"]
                 w["size"] += act[s_id]
                 continue
             root = waves[claimed_by[s_id]]
@@ -414,7 +429,7 @@ def reference_phase2(active, informed, ell, p, budget):
             if root is not w:
                 root["size"] += w["size"]
                 w["alive"] = False
-                w["merged_into"] = waves.index(root)
+                w["merged_into"] = root["id"]
         for w in finished:
             if w["alive"]:
                 w["front"] = (w["front"] + 1) % S
@@ -422,126 +437,13 @@ def reference_phase2(active, informed, ell, p, budget):
     return offsets
 
 
-def sequential_phase2(active, informed, ell, p, budget):
-    """Wave engine with a Python loop per wave: a slow reference.
-
-    Same contract as _improved_phase2_offsets, returning (au, cover). Each
-    step marks the moving waves' blocks one wave at a time and merges the
-    finished waves one at a time, in (segment, cover_start, -size, origin)
-    order. It sweeps while an active node is unreached or a scheduled local
-    delivery lies ahead.
-    """
-    N = len(active)
-    S = (N + ell - 1) // ell
-    seg_of = np.arange(N) // ell
-    seg_start = np.arange(S) * ell
-    seg_len = np.minimum(ell, N - seg_start)
-    seeded = np.bincount(seg_of, weights=informed.astype(np.float64),
-                         minlength=S).astype(np.int64)
-    act = np.bincount(seg_of, weights=active.astype(np.float64),
-                      minlength=S).astype(np.int64)
-    threshold = np.ceil(seg_len * p / 2.0).astype(np.int64)
-    good = (seeded >= 1) & (act >= threshold)
-
-    au = np.flatnonzero(active & ~informed)
-    cover = np.full(len(au), _UNSET, dtype=np.int64)
-    if len(au) == 0:
-        return au, cover
-
-    # 2a schedule: rank positions within each segment among non-informed slots
-    unpos = np.flatnonzero(~informed)
-    useg = unpos // ell
-    counts = np.bincount(useg, minlength=S)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(len(unpos)) - starts[useg]
-    g0 = seeded[useg]
-    rounds = np.where(g0 >= 1, rank // np.maximum(g0, 1) + 1, _UNSET)
-    cover = rounds[active[unpos]].astype(np.int64)
-    broadcast_len = np.where(
-        seeded >= 1,
-        (seg_len - seeded + np.maximum(seeded, 1) - 1) // np.maximum(seeded, 1),
-        0,
-    )
-
-    remaining = int(np.count_nonzero(cover == _UNSET))
-    assigned = cover[cover != _UNSET]
-    pending_max = int(assigned.max()) if len(assigned) else 0
-    if S == 1:
-        return au, cover
-
-    origin = np.flatnonzero(good)
-    W = len(origin)
-    if W == 0:
-        return au, cover
-
-    front = (origin + 1) % S
-    size = act[origin].copy()
-    progress = np.zeros(W, dtype=np.int64)
-    cover_start = broadcast_len[origin].copy()
-    alive = np.ones(W, dtype=bool)
-    merged_into = np.arange(W)
-    claimed_by = np.full(S, -1, dtype=np.int64)
-    claimed_by[origin] = np.arange(W)
-
-    t = 0
-    while (remaining > 0 or t < pending_max) and t < budget:
-        t += 1
-        moving = np.flatnonzero(alive & (cover_start < t))
-        if len(moving) == 0:
-            if not alive.any():
-                break
-            continue
-        f = front[moving]
-        lo = seg_start[f] + progress[moving]
-        hi = np.minimum(lo + size[moving], seg_start[f] + seg_len[f])
-        li = np.searchsorted(au, lo)
-        ri = np.searchsorted(au, hi)
-        for j in np.flatnonzero(ri > li):
-            block = cover[li[j]:ri[j]]
-            late = block > t
-            if late.any():
-                remaining -= int((block[late] == _UNSET).sum())
-                block[late] = t
-        progress[moving] += size[moving]
-        finished = moving[progress[moving] >= seg_len[f]]
-        if len(finished):
-            ff = front[finished]
-            order = np.lexsort((origin[finished], -size[finished],
-                                cover_start[finished], ff))
-            for row in order:
-                w = int(finished[row])
-                s_id = int(ff[row])
-                if claimed_by[s_id] == -1:
-                    claimed_by[s_id] = w
-                    size[w] += act[s_id]
-                    continue
-                root = int(claimed_by[s_id])
-                while not alive[root]:
-                    root = int(merged_into[root])
-                if root != w:
-                    size[root] += size[w]
-                    alive[w] = False
-                    merged_into[w] = root
-            survivors = finished[alive[finished]]
-            front[survivors] = (front[survivors] + 1) % S
-            progress[survivors] = 0
-    return au, cover
-
-
-def post_phase1_state(N, p, stream):
-    """The (active, informed) masks as the improved protocol's warm-up
-    leaves them, and the warm-up's informed counts."""
-    rng = RngStream(seed=31, stream_id=stream)
-    active = sample_active(N, p, rng)
-    pending = active.copy()
-    pending[0] = False
-    targets = protocols._Targets(rng.protocol_generator, N)
-    n = int(np.count_nonzero(active))
-    counts = [1]
-    while (counts[-1] < n
-           and len(counts) <= phase1_steps(N, p, default_phase1_slack(N))):
-        counts.append(n - step_naive(pending, counts[-1], targets))
-    return active, active & ~pending, counts
+def warmed_up(N, p):
+    """The (active, informed) masks the improved protocol's warm-up leaves
+    on stream int(10 p), and the phase-2 budget the default cap leaves."""
+    config = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=N, p=p)
+    active, informed, counts = reference_phase1(
+        config, RngStream(seed=31, stream_id=int(10 * p)))
+    return active, informed, config.step_cap - (len(counts) - 1)
 
 
 def engine_offsets(active, informed, ell, p, budget):
@@ -550,6 +452,14 @@ def engine_offsets(active, informed, ell, p, budget):
     au, cover = _improved_phase2_offsets(informed, active & ~informed, ell,
                                          p, budget)
     return {int(x): int(c) for x, c in zip(au, cover) if c <= budget}
+
+
+def checked_offsets(active, informed, ell, p, budget):
+    """The engine's offsets, asserted equal to reference_phase2's."""
+    expected = reference_phase2(active, informed, ell, p, budget)
+    assert engine_offsets(active, informed, ell, p, budget) == expected, (
+        len(active), ell, p)
+    return expected
 
 
 class TestImprovedPhase2:
@@ -622,10 +532,7 @@ class TestImprovedPhase2:
         active[0] = True
         informed = active & (gen.random(N) < seed_density)
         informed[0] = True
-        budget = 10 * N + 20
-        expected = reference_phase2(active, informed, ell, p, budget)
-        got = engine_offsets(active, informed, ell, p, budget)
-        assert got == expected
+        checked_offsets(active, informed, ell, p, 10 * N + 20)
 
     def test_matches_reference_on_dense_grid(self):
         # deterministic sweep across small shapes, including ragged tails
@@ -638,23 +545,14 @@ class TestImprovedPhase2:
                         active[0] = True
                         informed = active & (rng.random(N) < 0.4)
                         informed[0] = True
-                        budget = 10 * N + 20
-                        expected = reference_phase2(active, informed, ell, p, budget)
-                        got = engine_offsets(active, informed, ell, p, budget)
-                        assert got == expected, (N, ell, p)
+                        checked_offsets(active, informed, ell, p, 10 * N + 20)
 
     @pytest.mark.parametrize("N", [2 ** 12, 2 ** 14])
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.8])
     def test_matches_sequential_on_warmed_up_networks(self, N, p):
-        active, informed, counts = post_phase1_state(N, p, stream=int(10 * p))
-        budget = default_max_steps(N, p) - (len(counts) - 1)
+        active, informed, budget = warmed_up(N, p)
         for ell in (default_segment_length(N), 2, 8):
-            au, cover = _improved_phase2_offsets(
-                informed, active & ~informed, ell, p, budget)
-            ref_au, ref_cover = sequential_phase2(
-                active, informed, ell, p, budget)
-            assert np.array_equal(au, ref_au), (N, p, ell)
-            assert np.array_equal(cover, ref_cover), (N, p, ell)
+            checked_offsets(active, informed, ell, p, budget)
 
     def test_merge_mid_segment_speeds_the_receiver(self):
         # segments [0,3) [3,6) [6,9), ell 3; the first two are good with one
@@ -664,9 +562,8 @@ class TestImprovedPhase2:
         # step 4 the receiver has size 4 and covers 7 and 8 together
         active = np.array([c == "1" for c in "111100111"])
         informed = np.array([c == "1" for c in "100100000"])
-        expected = reference_phase2(active, informed, 3, 0.6, 100)
-        assert expected == {1: 1, 2: 2, 6: 3, 7: 4, 8: 4}
-        assert engine_offsets(active, informed, 3, 0.6, 100) == expected
+        assert checked_offsets(active, informed, 3, 0.6, 100) == {
+            1: 1, 2: 2, 6: 3, 7: 4, 8: 4}
         lone = active.copy()
         lone[:3] = False  # without the merging wave, node 8 waits to step 5
         assert reference_phase2(lone, informed & lone, 3, 0.6, 100)[8] == 5
@@ -679,9 +576,8 @@ class TestImprovedPhase2:
         # informed at step 2
         active = np.ones(9, dtype=bool)
         informed = np.array([c == "1" for c in "100011111"])
-        expected = reference_phase2(active, informed, 4, 0.9, 100)
-        assert expected == {1: 1, 2: 2, 3: 2}
-        assert engine_offsets(active, informed, 4, 0.9, 100) == expected
+        assert checked_offsets(active, informed, 4, 0.9, 100) == {
+            1: 1, 2: 2, 3: 2}
 
     def test_saturated_wave_crosses_empty_bad_segments(self):
         # ell 2: the wave of segment 0 (size 2, saturated) crosses three bad
@@ -690,47 +586,51 @@ class TestImprovedPhase2:
         # and changes nothing
         active = np.array([c == "1" for c in "110000001110"])
         informed = np.array([c == "1" for c in "110000000010"])
-        expected = reference_phase2(active, informed, 2, 1.0, 100)
-        assert expected == {8: 4, 9: 4}
-        assert engine_offsets(active, informed, 2, 1.0, 100) == expected
-        au, cover = sequential_phase2(active, informed, 2, 1.0, 100)
-        assert dict(zip(au.tolist(), cover.tolist())) == expected
+        assert checked_offsets(active, informed, 2, 1.0, 100) == {8: 4, 9: 4}
 
     def test_wave_wraps_past_the_short_tail(self):
         # segments [0,3) [3,6) [6,8): the saturated wave of segment 1 covers
         # the 2-node tail at step 1 and goes on to segment 0 at step 2
         active = np.array([c == "1" for c in "01111100"])
         informed = np.array([c == "1" for c in "00011100"])
-        expected = reference_phase2(active, informed, 3, 1.0, 100)
-        assert expected == {1: 2, 2: 2}
-        assert engine_offsets(active, informed, 3, 1.0, 100) == expected
+        assert checked_offsets(active, informed, 3, 1.0, 100) == {1: 2, 2: 2}
 
     @pytest.mark.parametrize("p", [0.3, 0.5])
     def test_matches_sequential_at_default_ell_2_16(self, p):
         N = 2 ** 16
-        active, informed, counts = post_phase1_state(N, p, stream=int(10 * p))
-        budget = default_max_steps(N, p) - (len(counts) - 1)
-        ell = default_segment_length(N)
-        au, cover = _improved_phase2_offsets(
-            informed, active & ~informed, ell, p, budget)
-        ref_au, ref_cover = sequential_phase2(active, informed, ell, p, budget)
-        assert np.array_equal(au, ref_au)
-        assert np.array_equal(cover, ref_cover)
+        active, informed, budget = warmed_up(N, p)
+        checked_offsets(active, informed, default_segment_length(N), p, budget)
 
     def test_merge_cycle_fixture(self):
         # segments [0,5) [5,10) [10,12); the first and last are good. The
         # wave from segment 0 claims segment 1 at step 3; at step 4 it
         # finishes segment 2 (the other wave's) while the other wave
         # finishes segment 0, each claimed by the other's tree. By then
-        # every node is covered: the vectorised sweep stops after step 3,
-        # the sequential one merges the cycle, and the offsets agree.
+        # every node is covered, so the engine and the reference both stop
+        # after step 3, and neither has to merge the cycle.
         active = np.array([c == "1" for c in "111101000111"])
         informed = np.array([c == "1" for c in "111001000001"])
-        expected = reference_phase2(active, informed, 5, 0.9, 100)
-        assert expected == {3: 1, 9: 3, 10: 1}
-        assert engine_offsets(active, informed, 5, 0.9, 100) == expected
-        au, cover = sequential_phase2(active, informed, 5, 0.9, 100)
-        assert dict(zip(au.tolist(), cover.tolist())) == expected
+        assert checked_offsets(active, informed, 5, 0.9, 100) == {
+            3: 1, 9: 3, 10: 1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([0.1, 0.5, 1.0]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+    def test_one_node_segments_step_as_cyclic(self, N, p, p_active,
+                                              p_informed, seed):
+        # with ell = 1 every informed node is a good segment of its own,
+        # and its wave crosses one node per step whatever merges into it,
+        # as the node's cyclic sweep does: the two literal references agree
+        gen = np.random.default_rng(seed)
+        active = gen.random(N) < p_active
+        active[0] = True
+        informed = active & (gen.random(N) < p_informed)
+        informed[0] = True
+        _, informed_at = reference_cyclic_phase2(
+            active, informed.copy(), int(active.sum()),
+            [int(informed.sum())], cap=N)
+        expected = {x: int(s) for x, s in enumerate(informed_at) if s > 0}
+        assert reference_phase2(active, informed, 1, p, N) == expected
 
 
 class TestImprovedRun:
@@ -770,6 +670,11 @@ class TestImprovedRun:
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=1, p=0.5)
         result = run(cfg, RngStream(seed=0))
         assert result.completion_time == 0 and not result.cap_hit
+
+    @pytest.mark.parametrize("p,stream", [(0.3, 0), (0.3, 3), (0.5, 1),
+                                          (0.5, 2)])
+    def test_run_matches_reference_under_caps(self, p, stream):
+        check_run_under_caps(Algorithm.IMPROVED_CYCLIC, p, stream)
 
 
 class TestSegmentView:

@@ -79,6 +79,38 @@ class TestLowerBoundTail:
             lower_bound_tail(0.5, -1.0)
 
 
+class TestInputChecks:
+    """Every function takes p, N and K through core's checks: a value of
+    the wrong type is rejected, not converted."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: constant(Algorithm.NAIVE, True),
+        lambda: constant(Algorithm.NAIVE, "0.5"),
+        lambda: constant(Algorithm.CYCLIC, float("nan")),
+        lambda: cyclic_beats_naive(1.0),
+        lambda: cyclic_beats_naive(True),
+        lambda: lower_bound_tail(True, 2),
+        lambda: lower_bound_tail(0.5, True),
+        lambda: lower_bound_tail(0.5, "2"),
+        lambda: lower_bound_tail(0.5, float("nan")),
+        lambda: exact_naive_law(2.7, 0.5),
+        lambda: exact_naive_law(True, 0.5),
+        lambda: exact_naive_law(8, "0.5"),
+        lambda: exact_oracle_law(8.9, 0.5),
+        lambda: exact_oracle_law(0, 0.5),
+        lambda: exact_oracle_law(8, True),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    def test_numpy_numbers_accepted(self):
+        assert lower_bound_tail(np.float64(0.5), np.int64(6)) == (
+            lower_bound_tail(0.5, 6.0))
+        assert exact_oracle_law(np.int64(3), np.float64(0.5)) == (
+            exact_oracle_law(3, 0.5))
+
+
 class TestStepKernel:
     def test_two_node_half_split(self):
         assert np.allclose(naive_step_kernel(2, 1, 1), [0.5, 0.5])
