@@ -143,14 +143,14 @@ def _segment_census(informed: np.ndarray, pending: np.ndarray, ell: int,
 def _ring_keep(unsat: np.ndarray, late: np.ndarray,
                needy: np.ndarray) -> np.ndarray:
     """Which of a ring of L waves can still change a cover: the late ones,
-    and for each needy unsaturated one, the run of waves behind it up to
-    and including the first saturated one. late and needy are positions on
-    the ring; needy waves are late ones that may lower a cover after step 1
-    too, so merges from behind may still speed them up in time."""
+    and for each needy one, the run of waves behind it up to and including
+    the first saturated one. late and needy are positions on the ring;
+    needy waves are unsaturated late ones that may lower a cover after
+    step 1 too, so merges from behind may still speed them up in time."""
     L = len(unsat)
     keep = np.zeros(L, dtype=bool)
     keep[late] = True
-    j = np.sort(needy[unsat[needy]])
+    j = np.sort(needy)
     if len(j) == 0:
         return keep
     # each run starts at the nearest saturated wave before j, on the ring
@@ -170,10 +170,9 @@ def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
                              ell: int, p: float, budget: int):
     """Segment broadcast plus coalescing forward waves.
 
-    Returns (au_positions, cover_offsets) where au_positions are the
-    pending (active, uninformed) nodes and cover_offsets[i] is the
-    phase-2 step at which active uninformed node au_positions[i] becomes
-    informed, or _UNSET for nodes the waves never reached within budget.
+    Returns (au_positions, cover_offsets): the pending (active,
+    uninformed) nodes and the phase-2 step that informs each. A node not
+    reached within budget may hold any cover above budget, _UNSET or not.
 
     Mechanics, in phase-2 steps:
       2a. Within each segment holding g0 >= 1 informed nodes, the informed
@@ -190,24 +189,24 @@ def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
           never transmit on their own.
 
     The sweep steps only the waves that can still lower a cover, relying
-    on three invariants:
+    on four invariants:
       - Live waves have distinct fronts: a wave that finishes a segment
         another wave took dies into that wave's tree, so no wave enters a
         claimed segment. The segments after a good segment, up to the next
         good one, are swept by its wave alone, which on finishing that good
         segment dies into the first live wave ahead.
       - Sizes matter only through min(size, ell): a wave covers at most one
-        segment, of at most ell positions, per step, so a saturated wave
-        moves one segment per step whatever merges into it.
-      - Only segments that hold waiting nodes are swept: a node waits while
-        its wave can still reach it before its cover, moving one segment
-        per step once its broadcast is done.
-    The census keeps the waves that can reach a waiting node (late) and,
-    for each unsaturated late wave that may lower a cover after step 1 (so
-    a merge can still speed it up in time), the run of waves behind it up
-    to and including the first saturated one. The other waves are never
-    stepped: their merges reach only saturated or unstepped waves, which
-    changes no cover. Merges can cycle only once every node is covered.
+        segment, of at most ell positions, per step.
+      - A wave saturated at launch (size >= ell) moves exactly one segment
+        per step whatever merges into it, so each node it enters gets its
+        cover at the census: min(local slot, the wave's arrival).
+      - Only segments that hold waiting nodes are swept: a node behind an
+        unsaturated wave waits while that wave can still reach it before
+        its cover, moving one segment per step once its broadcast is done.
+    The census keeps the waves of waiting nodes (late) and the runs behind
+    them that _ring_keep adds. The other waves are never stepped: their
+    merges reach only saturated or unstepped waves, which changes no
+    cover. Merges can cycle only once every node is covered.
     """
     N = len(informed)
     seeded, act, good = _segment_census(informed, pending, ell, p)
@@ -224,28 +223,30 @@ def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
     del rank, g0
     origin = good.nonzero()[0]
     W = len(origin)
-    if S == 1 or W == 0:
+    if W == 0:
         return au, cover  # nothing can reach the rest
 
     def broadcast(o):
-        """Length of the own broadcasts of the waves from segments o."""
+        """Length, below ell, of the own broadcasts of the waves from o."""
         return (np.minimum(ell, N - o * ell) - 1) // seeded[o]
 
     size = act[origin].astype(np.int64)
-    # the wave of the last good segment before seg is the one to reach it,
-    # on the step after its broadcast at the earliest, then one segment per
-    # step; a node waits if that is before its cover
+    # the wave of the last good segment before seg is the first to reach
+    # it, at arrival at the earliest, and exactly then if it is saturated
     ent = (origin.searchsorted(seg) - 1) % W
     o = origin[ent]
-    late = cover > broadcast(o) + 1 + (seg - o - 1) % S
+    arrival = broadcast(o) + 1 + (seg - o - 1) % S
+    np.minimum(cover, arrival, out=cover, where=size[ent] >= ell)
+    late = cover > arrival
+    if not late.any():
+        return au, cover
     live = _ring_keep(size < ell, ent[late], ent[late & (cover > 2)]
                       ).nonzero()[0]  # the kept waves, in ring order
     waits = np.zeros(S, dtype=bool)  # segments holding waiting nodes
     waits[seg[late]] = True
-    del ent, o, late
+    del ent, o, arrival, late
     head = np.zeros(W, dtype=np.int64)  # next position each wave covers
     head[live] = (origin[live] + 1) % S * ell
-    all_moving = ell - 1  # no broadcast is longer
     slots = len(au) + 1
     root_of = np.arange(W)  # dead waves point toward their live root
 
@@ -254,8 +255,7 @@ def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
     # local deliveries), so the sweep runs while some offset lies ahead.
     while t < budget and cover.max(initial=0) > t:
         t += 1
-        moving = (live if t > all_moving
-                  else live[broadcast(origin[live]) < t])
+        moving = live if t >= ell else live[broadcast(origin[live]) < t]
         lo = head[moving]
         f = lo // ell  # the segment each wave covers
         hi = lo + size[moving]
@@ -383,8 +383,8 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     _DRAW_BATCH at a time; what is over-drawn is never read. Each phase-2
     engine starts from the pending mask and the informed mask phase 1
     leaves, active ^ pending, built in the active mask's place, and naive
-    then keeps stepping the pending mask. A protocol generator is built only when a run first draws: a
-    trial with no node but node 0 active builds none.
+    then keeps stepping the pending mask. A protocol generator is built at
+    a run's first draw, so a trial with only node 0 active builds none.
     """
     active = sample_active(config.N, config.p, rng)
     n = int(np.count_nonzero(active))

@@ -632,6 +632,58 @@ class TestImprovedPhase2:
         expected = {x: int(s) for x, s in enumerate(informed_at) if s > 0}
         assert reference_phase2(active, informed, 1, p, N) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([0.1, 0.5, 1.0]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+    def test_one_node_segments_match_the_cyclic_engine(self, N, p, p_active,
+                                                       p_informed, seed):
+        # with ell = 1 every wave is saturated at launch, so the census
+        # gives every cover in closed form and the engine returns before
+        # _ring_keep and the step loop, with the cyclic engine's covers
+        gen = np.random.default_rng(seed)
+        active = gen.random(N) < p_active
+        active[0] = True
+        informed = active & (gen.random(N) < p_informed)
+        informed[0] = True
+        pending = active & ~informed
+        au, expected = _cyclic_phase2_offsets(informed, pending)
+        gap = int(expected.max(initial=0))  # the last cyclic cover
+
+        def no_step_loop(*args):
+            raise AssertionError("an all-saturated ring reached _ring_keep")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "_ring_keep", no_step_loop)
+            for budget in {gap + 1, max(gap - 1, 1), max(gap // 2, 1)}:
+                got_au, cover = _improved_phase2_offsets(informed, pending,
+                                                         1, p, budget)
+                assert np.array_equal(got_au, au)
+                within = expected <= budget
+                assert np.array_equal(cover <= budget, within)
+                assert np.array_equal(cover[within], expected[within])
+
+    def test_budget_cuts_a_saturated_wave_in_a_mixed_ring(self):
+        # ell 4, p 0.5: segments 0 and 4 are good and saturated (4 actives,
+        # one seed, a 3-step broadcast), segment 5 is good with one active,
+        # the others bad. Wave 0's closed form gives segments 1-3 their
+        # arrivals 4, 5 and 6. The size-1 wave of segment 5 covers 24 at
+        # step 4; wave 4 finishes segment 5 at step 4 and dies into it, so
+        # 25-27 are covered together at step 5. Budget 5 cuts segment 3
+        # (12-15, arrival 6) and segment 7 (28-31, step 6)
+        active = np.array([c == "1" for c in
+                           "1111" "1001" "1001" "1111" "1111" "1000" "1111"
+                           "1111"])
+        informed = np.array([c == "1" for c in
+                             "1000" "0000" "0000" "0000" "1000" "1000" "0000"
+                             "0000"])
+        assert checked_offsets(active, informed, 4, 0.5, 5) == {
+            1: 1, 2: 2, 3: 3, 4: 4, 7: 4, 8: 5, 11: 5, 17: 1, 18: 2, 19: 3,
+            24: 4, 25: 5, 26: 5, 27: 5}
+        assert checked_offsets(active, informed, 4, 0.5, 100)[12] == 6
+        lone = active.copy()
+        lone[16:20] = False  # without wave 4, node 26 waits to step 6
+        assert reference_phase2(lone, informed & lone, 4, 0.5, 100)[26] == 6
+
 
 class TestImprovedRun:
     def test_completes_and_reports_phases(self):
