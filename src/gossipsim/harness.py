@@ -307,13 +307,14 @@ def run_experiment(spec: ExperimentSpec,
     process pool, and rows are folded in trial order so the persisted bytes
     do not depend on scheduling. Nothing is written if any trial fails.
     """
+    parallel = workers is not None and _positive_int(workers, "workers") > 1
     tasks = []
     trials = spec.trials_per_cell
     for ci, cell in enumerate(spec.grid):
         config = cell.config(spec.epsilon, spec.record_trajectory)
         tasks.extend((config, spec.base_seed, ci * trials + ti, ti)
                      for ti in range(trials))
-    if workers is not None and workers > 1:
+    if parallel:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_trial, tasks, chunksize=8))
     else:
@@ -354,10 +355,12 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ConfigError("N ladder must be strictly increasing")
     _positive_int(trials, "trials")
+    stores = [_store(ProtocolConfig(algorithms[0], N, p), tuple(algorithms),
+                     base_seed) for N in N_list]  # every config checked first
     c_theory = [constant(alg, p) for alg in algorithms]
     out: Dict[Algorithm, List[SweepRow]] = {alg: [] for alg in algorithms}
-    for N, (T, _, _) in zip(N_list, _rungs(tuple(algorithms), p, N_list,
-                                           trials, base_seed)):
+    for ci, (N, store) in enumerate(zip(N_list, stores)):
+        T = store.times(range(ci * trials, (ci + 1) * trials))
         ln_n = math.log(N) if N > 1 else 1.0
         for alg, c in zip(algorithms, c_theory):
             ratios = T[alg] / ln_n / c
@@ -369,36 +372,39 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _ensemble(config: ProtocolConfig, algorithms: Tuple[Algorithm, ...],
-              seed: int, streams: range,
-              ) -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
-    """Completion times of coupled trials, one run_coupled call per stream.
+class _Store:
+    """Coupled trials of one (config, algorithms, seed), by stream id; with
+    one algorithm a trial draws exactly like run(). Row i of T and capped
+    holds algorithms[i]'s completion time (-1 until built) and cap flag;
+    seconds is the time spent building."""
 
-    Every algorithm of a trial runs on the same active set and warm-up
-    randomness; with one algorithm a trial draws exactly like run(). Returns
-    per-algorithm completion times in stream order, the number of capped
-    runs and the build time. The sweeps and simulated checks read it.
-    """
-    T = {alg: np.empty(len(streams), dtype=np.int64) for alg in algorithms}
-    capped = 0
-    t0 = time.perf_counter()
-    for ti, stream_id in enumerate(streams):
-        stream = RngStream(seed=seed, stream_id=stream_id)
-        for alg, result in run_coupled(config, algorithms, stream).items():
-            T[alg][ti] = result.completion_time
-            capped += result.cap_hit
-    return T, capped, time.perf_counter() - t0
+    def __init__(self, config: ProtocolConfig,
+                 algorithms: Tuple[Algorithm, ...], seed: int) -> None:
+        self.config, self.algorithms, self.seed = config, algorithms, seed
+        self.T = np.full((len(algorithms), 0), -1, dtype=np.int64)
+        self.capped = np.zeros((len(algorithms), 0), dtype=bool)
+        self.seconds = 0.0
+
+    def times(self, streams: range) -> Dict[Algorithm, np.ndarray]:
+        """Each algorithm's completion times on the streams, in order; a
+        stream not yet built first gets one run_coupled call."""
+        t0 = time.perf_counter()
+        if streams.stop > self.T.shape[1]:
+            grow = ((0, 0), (0, streams.stop - self.T.shape[1]))
+            self.T = np.pad(self.T, grow, constant_values=-1)
+            self.capped = np.pad(self.capped, grow)
+        for s in streams:
+            if self.T[0, s] < 0:
+                trial = run_coupled(self.config, self.algorithms,
+                                    RngStream(seed=self.seed, stream_id=s))
+                self.T[:, s] = [r.completion_time for r in trial.values()]
+                self.capped[:, s] = [r.cap_hit for r in trial.values()]
+        self.seconds += time.perf_counter() - t0
+        return dict(zip(self.algorithms, self.T.take(streams, axis=1)))
 
 
-def _rungs(algorithms: Tuple[Algorithm, ...], p: float, N_list: Sequence[int],
-           trials: int, seed: int):
-    """One coupled ensemble per rung ci, on streams ci*trials + ti. Every
-    rung's config is checked before the first ensemble is built."""
-    configs = [ProtocolConfig(algorithms[0], N, p) for N in N_list]
-    return [_ensemble(config, algorithms, seed,
-                      range(ci * trials, (ci + 1) * trials))
-            for ci, config in enumerate(configs)]
+# the one cached store per (config, algorithms, seed)
+_store = functools.lru_cache(maxsize=32)(_Store)
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +442,26 @@ def _timed(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
                        elapsed=time.perf_counter() - t0)
 
 
-def _acceptance_ensemble() -> Tuple[Dict[Algorithm, np.ndarray], int, float]:
-    return _ensemble(ProtocolConfig(_COUPLED_PROTOCOLS[0], _ACCEPT_N, _ACCEPT_P),
-                     _COUPLED_PROTOCOLS, ACCEPTANCE_SEED, range(_ACCEPT_TRIALS))
+def _acceptance_store(N: int = _ACCEPT_N) -> _Store:
+    return _store(ProtocolConfig(_COUPLED_PROTOCOLS[0], N, _ACCEPT_P),
+                  _COUPLED_PROTOCOLS, ACCEPTANCE_SEED)
 
 
 def check_acceptance_build() -> CheckResult:
-    """Build every cached ensemble the full checks read; time each build.
+    """Build every coupled trial the full checks read; time each store.
 
-    The constant, win-rate and envelope checks read the 2^20 ensemble and
-    the ladder checks read the three rungs, so their builds are charged
-    here and not to whichever check runs first. Passes when no trial hit
-    the step cap and the 2^20 ensemble built within 300 s.
+    The constant, win-rate and envelope checks read the 2^20 store and the
+    ladder checks one store per rung, the last being the 2^20 store, so each
+    trial is built once, here. Passes when no stored trial hit the step cap
+    and the 2^20 trials built within 300 s.
     """
     t0 = time.perf_counter()
-    T, capped, build = _acceptance_ensemble()
-    rungs = _rungs(_COUPLED_PROTOCOLS, _ACCEPT_P, _LADDER, _LADDER_TRIALS,
-                   ACCEPTANCE_SEED)
-    capped += sum(rung[1] for rung in rungs)
-    ladder = sum(rung[2] for rung in rungs)
+    *rungs, accept = (_acceptance_store(N) for N in _LADDER)
+    T = accept.times(range(_ACCEPT_TRIALS))
+    build = accept.seconds
+    convergence_sweep(_COUPLED_PROTOCOLS, _ACCEPT_P, _LADDER, _LADDER_TRIALS)
+    capped = int(sum(store.capped.sum() for store in (*rungs, accept)))
+    ladder = sum(store.seconds for store in rungs)
     return _timed("acceptance ensemble build", capped == 0 and build <= 300.0,
                   f"{_ACCEPT_TRIALS} coupled trials per protocol at "
                   f"N={_ACCEPT_N}, p={_ACCEPT_P}: "
@@ -471,7 +478,7 @@ def _label(algorithm: Algorithm) -> str:
 def check_constant(algorithm: Algorithm) -> CheckResult:
     """Mean time at N=2^20, p=0.5 inside [0.8, ceiling] of C(p)."""
     t0 = time.perf_counter()
-    T = _acceptance_ensemble()[0][algorithm][:_ACCEPT_HEAD]
+    T = _acceptance_store().times(range(_ACCEPT_HEAD))[algorithm]
     hi = _BAND_CEILING[algorithm]
     ratio = float(T.mean() / math.log(_ACCEPT_N) / constant(algorithm, _ACCEPT_P))
     return _timed(f"{_label(algorithm)} completion constant",
@@ -483,9 +490,9 @@ def check_constant(algorithm: Algorithm) -> CheckResult:
 def check_beats(algorithm: Algorithm, baseline: Algorithm) -> CheckResult:
     """At least 95 of 100 coupled trials finish below the baseline's mean."""
     t0 = time.perf_counter()
-    ens = _acceptance_ensemble()[0]
-    base_mean = ens[baseline][:_ACCEPT_HEAD].mean()
-    wins = int((ens[algorithm][:_ACCEPT_HEAD] < base_mean).sum())
+    ens = _acceptance_store().times(range(_ACCEPT_HEAD))
+    base_mean = ens[baseline].mean()
+    wins = int((ens[algorithm] < base_mean).sum())
     return _timed(f"{_label(algorithm)} beats {_label(baseline)} mean on "
                   f"coupled trials", wins >= 95,
                   f"wins={wins}/{_ACCEPT_HEAD} against {baseline.value} mean "
@@ -495,7 +502,8 @@ def check_beats(algorithm: Algorithm, baseline: Algorithm) -> CheckResult:
 def check_lower_bound_envelope() -> CheckResult:
     """No protocol beats the branching lower bound K steps early."""
     t0 = time.perf_counter()
-    pooled = np.concatenate(list(_acceptance_ensemble()[0].values()))
+    pooled = np.concatenate(list(
+        _acceptance_store().times(range(_ACCEPT_TRIALS)).values()))
     base = math.log(_ACCEPT_N) / math.log1p(_ACCEPT_P)
     parts = []
     ok = True
@@ -565,8 +573,8 @@ def check_law(algorithm: Algorithm, trials: int = 10 ** 5,
     exact_law, cases = _LAW_CASES[algorithm]
     tvs = []
     for N, seed in cases:
-        T = _ensemble(ProtocolConfig(algorithm=algorithm, N=N, p=0.5),
-                      (algorithm,), seed, range(trials))[0][algorithm]
+        T = _store(ProtocolConfig(algorithm=algorithm, N=N, p=0.5),
+                   (algorithm,), seed).times(range(trials))[algorithm]
         tvs.append(exact_law(N, 0.5).total_variation(ExactLaw.from_samples(T)))
     return _timed(f"{algorithm.value} empirical law vs exact DP",
                   max(tvs) <= tolerance,
@@ -625,8 +633,8 @@ def check_domination(trials: int = 500, N: int = 2 ** 16) -> CheckResult:
     violations = 0
     checked = 0
     for p in _DOMINATION_P:
-        ens = _ensemble(ProtocolConfig(algorithms[0], N, p), algorithms,
-                        ACCEPTANCE_SEED, range(trials))[0]
+        ens = _store(ProtocolConfig(algorithms[0], N, p), algorithms,
+                     ACCEPTANCE_SEED).times(range(trials))
         oracle_T = ens[Algorithm.ORACLE]
         for alg in algorithms[1:]:
             diff = ens[alg] - oracle_T
@@ -638,10 +646,10 @@ def check_domination(trials: int = 500, N: int = 2 ** 16) -> CheckResult:
                   f"comparisons at N={N}, p={list(_DOMINATION_P)}", t0)
 
 
-def check_determinism(tmp_dir: Optional[str] = None) -> CheckResult:
+def check_determinism() -> CheckResult:
     """Identical specs give byte-identical files, serial or parallel."""
     t0 = time.perf_counter()
-    base = tempfile.mkdtemp(dir=tmp_dir, prefix="gossipsim-verify-")
+    base = tempfile.mkdtemp(prefix="gossipsim-verify-")
     try:
         blobs = []
         for tag, workers in (("a", None), ("b", None), ("par", 2)):

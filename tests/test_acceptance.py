@@ -2,9 +2,11 @@
 
 These tests drive the same check functions exposed through `verify --level
 full`. They are slow (a few minutes total). The first test builds every
-cached coupled ensemble the others read: 336 trials at N = 2^20, p = 0.5
-for the completion-constant, win-rate and envelope checks, and the 2^14,
-2^17, 2^20 ladder (100 trials per rung) for the convergence checks.
+coupled trial the others read, into one cached store per size: 336 trials
+at N = 2^20, p = 0.5 for the completion-constant, win-rate and envelope
+checks, and the 2^14, 2^17, 2^20 ladder (100 trials per rung) for the
+convergence checks. The 2^20 rung's streams 200-299 are read from the
+acceptance ensemble, not built again.
 
 One check is known to fail for the improved cyclic protocol and is left
 failing deliberately: its normalized mean at N = 2^20 sits near 1.43x the
@@ -96,12 +98,11 @@ class TestDomination:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
-        _assert_check(harness.check_determinism(tmp_dir=str(tmp_path)))
+    def test_byte_identical_reruns(self):
+        _assert_check(harness.check_determinism())
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _report_cache_info():
+def _free_the_ensembles():
     yield
-    # free the cached ensembles at the end of the session
-    harness._ensemble.cache_clear()
+    harness._store.cache_clear()

@@ -60,6 +60,13 @@ class TestRunCommand:
         spec = write_spec(tmp_path)
         assert cli.main(["run", str(spec), "--workers", "2"]) == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, capsys, workers):
+        spec = write_spec(tmp_path)
+        assert cli.main(["run", str(spec), "--workers", workers]) == 2
+        assert "workers must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
 
 class TestSweepCommand:
     def test_oracle_table(self, capsys):

@@ -17,6 +17,7 @@ from gossipsim.harness import (
     run_experiment,
     verify_suite,
 )
+from gossipsim.protocols import run_coupled
 from gossipsim.theory import (ExactLaw, constant, exact_naive_law,
                               exact_oracle_law)
 
@@ -267,12 +268,33 @@ class TestEnsemble:
         algorithms = (Algorithm.NAIVE, Algorithm.CYCLIC,
                       Algorithm.IMPROVED_CYCLIC)
         config = ProtocolConfig(Algorithm.NAIVE, 4096, 0.5, max_steps=2)
-        built = harness._ensemble(config, algorithms, 31, range(5))
-        T, capped, _ = built
-        assert capped == 15
-        assert set(T) == set(algorithms)
+        store = harness._store(config, algorithms, 31)
+        T = store.times(range(5))
+        assert list(T) == list(algorithms)
         assert all((times == 2).all() for times in T.values())
-        assert harness._ensemble(config, algorithms, 31, range(5)) is built
+        assert store.capped.shape == (3, 5) and store.capped.all()
+        assert store.seconds > 0
+        assert harness._store(config, algorithms, 31) is store
+
+    def test_each_stream_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return run_coupled(*args)
+
+        monkeypatch.setattr(harness, "run_coupled", counting)
+        algorithms = (Algorithm.NAIVE, Algorithm.CYCLIC, Algorithm.ORACLE)
+        config = ProtocolConfig(Algorithm.NAIVE, 256, 0.5)
+        store = harness._Store(config, algorithms, 5)
+        ranges = (range(10), range(3, 7), range(8, 12))
+        read = [store.times(streams) for streams in ranges]
+        assert len(calls) == 12
+        for streams, T in zip(ranges, read):
+            fresh = harness._Store(config, algorithms, 5).times(streams)
+            assert list(T) == list(fresh) == list(algorithms)
+            for alg in algorithms:
+                np.testing.assert_array_equal(T[alg], fresh[alg])
 
 
 class TestLawCheck:
@@ -282,13 +304,13 @@ class TestLawCheck:
          [(2, ACCEPTANCE_SEED + 2), (8, ACCEPTANCE_SEED + 8)]),
     ], ids=["oracle", "naive"])
     def test_reads_the_pinned_ensembles(self, algorithm, exact_law, cases):
-        # each N's total variation is that of the ensemble on its own seed
+        # each N's total variation is that of the store on its own seed
         trials = 2000
         result = harness.check_law(algorithm, trials=trials, tolerance=0.05)
         tvs = []
         for N, seed in cases:
-            T = harness._ensemble(ProtocolConfig(algorithm, N, 0.5),
-                                  (algorithm,), seed, range(trials))[0]
+            T = harness._store(ProtocolConfig(algorithm, N, 0.5),
+                               (algorithm,), seed).times(range(trials))
             tv = exact_law(N, 0.5).total_variation(
                 ExactLaw.from_samples(T[algorithm]))
             tvs.append(f"N={N}: TV={tv:.4f}")
