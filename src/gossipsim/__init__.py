@@ -6,10 +6,6 @@ from .core import (
     ConfigError,
     ProtocolConfig,
     RngStream,
-    default_max_steps,
-    default_phase1_slack,
-    default_segment_length,
-    phase1_steps,
     sample_active,
 )
 from .protocols import TraceResult, run, run_coupled
@@ -40,8 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm", "ConfigError", "ProtocolConfig", "RngStream",
-    "default_max_steps", "default_phase1_slack", "default_segment_length",
-    "phase1_steps", "sample_active",
+    "sample_active",
     "TraceResult", "run", "run_coupled",
     "ExactLaw", "TheoryConstants", "constant", "cyclic_beats_naive",
     "exact_naive_law", "exact_oracle_law", "lower_bound_tail",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -114,16 +115,19 @@ def _cmd_theory(args: argparse.Namespace) -> int:
         rows.append({"p": p, "naive": consts.c_naive, "cyclic": consts.c_cyclic,
                      "improved": consts.c_improved,
                      "lower_bound": consts.lower_bound_c,
-                     "cyclic_minus_naive_gap": theory.cyclic_beats_naive(p)})
+                     # f(p) tends to -inf as p -> 1 and is undefined at 1
+                     "cyclic_minus_naive_gap": (theory.cyclic_beats_naive(p)
+                                                if p < 1.0 else None)})
     if args.json:
         print(json.dumps(rows, sort_keys=True))
         return 0
     print(f"{'p':>6}{'naive':>12}{'cyclic':>12}{'improved':>12}"
           f"{'lower':>12}{'gap f(p)':>12}")
     for r in rows:
+        gap = r["cyclic_minus_naive_gap"]
         print(f"{r['p']:>6.2f}{r['naive']:>12.6f}{r['cyclic']:>12.6f}"
               f"{r['improved']:>12.6f}{r['lower_bound']:>12.6f}"
-              f"{r['cyclic_minus_naive_gap']:>12.6f}")
+              f"{-math.inf if gap is None else gap:>12.6f}")
     return 0
 
 

@@ -36,10 +36,6 @@ __all__ = [
     "RngStream",
     "ProtocolConfig",
     "sample_active",
-    "phase1_steps",
-    "default_phase1_slack",
-    "default_segment_length",
-    "default_max_steps",
 ]
 
 
@@ -224,41 +220,6 @@ class RngStream:
         return self._generator(_DOMAIN_PROTOCOL)
 
 
-def phase1_steps(N: int, p: float, slack: float) -> int:
-    """Length of the randomized warm-up phase: ceil((1+slack) ln N / ln(1+p))."""
-    if N <= 1:
-        return 0
-    return math.ceil((1.0 + slack) * math.log(N) / math.log(1.0 + p))
-
-
-def default_phase1_slack(N: int) -> float:
-    """Derived warm-up slack max(0, ln ln N) / ln N; 0 for N <= 2.
-
-    With this slack phase 1 lasts ceil((ln N + ln ln N) / ln(1+p)) steps:
-    the excess over ln N / ln(1+p) is the ln ln N term, so the schedule
-    keeps the (1+o(1)) ln N / ln(1+p) completion-time promise instead of
-    fixing a constant multiple of it.
-    """
-    if N <= 2:
-        return 0.0
-    ln_n = math.log(N)
-    return max(0.0, math.log(ln_n)) / ln_n
-
-
-def default_segment_length(N: int) -> int:
-    """Derived segment length round(sqrt(ln N)), at least 1."""
-    if N <= 1:
-        return 1
-    return max(1, round(math.sqrt(math.log(N))))
-
-
-def default_max_steps(N: int, p: float) -> int:
-    """Termination cap, generous enough for any sane configuration."""
-    if N <= 1:
-        return 1
-    return max(1, math.ceil(64.0 * math.log(N) / math.log(1.0 + p)))
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything a single trial needs besides its RngStream."""
@@ -281,14 +242,34 @@ class ProtocolConfig:
             _positive_int(self.max_steps, "max_steps")
 
     @property
+    def phase1_steps(self) -> int:
+        """Length of the randomized warm-up, ceil((ln N + ln ln N) / ln(1+p))
+        steps; 0 for N = 1.
+
+        It is written as ceil((1 + slack) ln N / ln(1+p)) with the derived
+        slack max(0, ln ln N) / ln N. The excess over ln N / ln(1+p) is the
+        ln ln N term, so the schedule keeps the (1+o(1)) ln N / ln(1+p)
+        completion-time promise instead of fixing a constant multiple of it.
+        """
+        if self.N <= 1:
+            return 0
+        ln_n = math.log(self.N)
+        slack = max(0.0, math.log(ln_n)) / ln_n
+        return math.ceil((1.0 + slack) * ln_n / math.log(1.0 + self.p))
+
+    @property
     def segment_length(self) -> int:
-        return default_segment_length(self.N)
+        """Derived segment length round(sqrt(ln N)), at least 1."""
+        return max(1, round(math.sqrt(math.log(self.N))))
 
     @property
     def step_cap(self) -> int:
+        """max_steps if set, else ceil(64 ln N / ln(1+p)), at least 1:
+        generous enough for any sane configuration."""
         if self.max_steps is not None:
             return int(self.max_steps)
-        return default_max_steps(self.N, self.p)
+        return max(1, math.ceil(64.0 * math.log(self.N)
+                                / math.log(1.0 + self.p)))
 
 
 def _positive_int(value, name: str) -> int:

@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (Algorithm, ProtocolConfig, RngStream,
-                   default_phase1_slack, phase1_steps, sample_active)
+from .core import Algorithm, ProtocolConfig, RngStream, sample_active
 
 __all__ = ["TraceResult", "run_coupled", "run"]
 
@@ -402,9 +401,7 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
         pending[0] = False
         targets = _Targets(rng.protocol_generator, config.N)
         counts = [1]
-        limit = (min(phase1_steps(config.N, config.p,
-                                  default_phase1_slack(config.N)), cap)
-                 if phased else cap)
+        limit = min(config.phase1_steps, cap) if phased else cap
         _push(pending, targets, n, limit, counts)
         phase1_end = len(counts) - 1
         if phased:  # in place: the active mask is not read again

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .core import (Algorithm, ConfigError, _is_real, _positive_int,
-                   _probability)
+                   _probability, _uint64)
 
 __all__ = [
     "TheoryConstants",
@@ -151,8 +151,9 @@ def naive_step_kernel(N: int, k: int, u: int) -> np.ndarray:
     the probability that exactly j of those u receive at least one message,
     by inclusion-exclusion over missed subsets.
     """
-    if not (0 <= u <= N) or not (0 <= k):
-        raise ConfigError(f"invalid kernel arguments N={N}, k={k}, u={u}")
+    N, k, u = _positive_int(N, "N"), _uint64(k, "k"), _uint64(u, "u")
+    if u > N:
+        raise ConfigError(f"u must be at most N={N}, got {u}")
     probs = np.zeros(u + 1, dtype=np.float64)
     for j in range(u + 1):
         acc = 0.0

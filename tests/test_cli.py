@@ -3,8 +3,9 @@ import json
 import pytest
 
 from gossipsim import cli
+from gossipsim.core import Algorithm
 from gossipsim.harness import CheckResult, VerifyReport
-from gossipsim.theory import TheoryConstants
+from gossipsim.theory import TheoryConstants, constant
 
 
 def write_spec(tmp_path, **overrides):
@@ -116,6 +117,27 @@ class TestTheoryCommand:
         assert rows[0]["cyclic"] == pytest.approx(expected.c_cyclic)
         assert rows[0]["improved"] == pytest.approx(expected.c_improved)
         assert rows[0]["cyclic_minus_naive_gap"] < 0
+
+    def test_p_one_has_no_gap(self, capsys):
+        # f(p) = p + ln(1-p) is undefined at p = 1: null in strict JSON,
+        # -inf (its limit) in the table
+        assert cli.main(["theory", "--p", "0.5", "1.0", "--json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rows[0]["cyclic_minus_naive_gap"] < 0
+        assert rows[1]["p"] == 1.0
+        assert rows[1]["cyclic_minus_naive_gap"] is None
+        for key, alg in (("naive", Algorithm.NAIVE),
+                         ("cyclic", Algorithm.CYCLIC),
+                         ("improved", Algorithm.IMPROVED_CYCLIC),
+                         ("lower_bound", Algorithm.ORACLE)):
+            assert rows[1][key] == constant(alg, 1.0)
+        assert cli.main(["theory", "--p", "1"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split()
+        assert last[0] == "1.00" and last[-1] == "-inf"
 
     def test_invalid_p_exits_2(self):
         assert cli.main(["theory", "--p", "1.5"]) == 2

@@ -12,10 +12,6 @@ from gossipsim.core import (
     ConfigError,
     ProtocolConfig,
     RngStream,
-    default_max_steps,
-    default_phase1_slack,
-    default_segment_length,
-    phase1_steps,
     sample_active,
 )
 
@@ -122,26 +118,21 @@ class TestSeedSequencePort:
         assert_seeded_as_seed_sequence(seed, stream_id)
 
 
+def schedule(N, p=0.5):
+    """The schedule ProtocolConfig derives for N and p."""
+    return ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=N, p=p)
+
+
 class TestPhase1Steps:
-    # ceil((1+slack) * ln N / ln(1+p)) at N=2^20, p=0.5
-    @pytest.mark.parametrize("slack,expected", [
-        (0.0, 35), (0.05, 36), (0.08, 37), (0.10, 38), (0.15, 40), (0.20, 42),
-    ])
-    def test_slack_table_n20(self, slack, expected):
-        assert phase1_steps(2 ** 20, 0.5, slack) == expected
-
-    @pytest.mark.parametrize("N,expected", [(2 ** 14, 29), (2 ** 17, 35)])
-    def test_slack_0_2_ladder(self, N, expected):
-        assert phase1_steps(N, 0.5, 0.2) == expected
-
     def test_degenerate_network(self):
-        assert phase1_steps(1, 0.5, 0.2) == 0
+        assert schedule(1).phase1_steps == 0
 
-    @given(st.integers(2, 10 ** 7), st.floats(0.01, 1.0),
-           st.floats(0.0, 1.0))
-    def test_matches_formula(self, N, p, slack):
+    @given(st.integers(2, 10 ** 7), st.floats(0.01, 1.0))
+    def test_matches_formula(self, N, p):
+        # ceil((1+slack) * ln N / ln(1+p)) with slack max(0, ln ln N) / ln N
+        slack = max(0.0, math.log(math.log(N))) / math.log(N)
         expected = math.ceil((1 + slack) * math.log(N) / math.log(1 + p))
-        assert phase1_steps(N, p, slack) == expected
+        assert schedule(N, p).phase1_steps == expected
 
 
 class TestDerivedDefaults:
@@ -149,41 +140,48 @@ class TestDerivedDefaults:
         (1, 1), (2, 1), (2 ** 14, 3), (2 ** 17, 3), (2 ** 20, 4),
     ])
     def test_segment_length(self, N, expected):
-        assert default_segment_length(N) == expected
+        assert schedule(N).segment_length == expected
 
     def test_phase1_slack_degenerate(self):
-        assert default_phase1_slack(1) == 0.0
-        assert default_phase1_slack(2) == 0.0
+        # no slack where ln ln N <= 0: phase 1 is ceil(ln N / ln(1+p))
+        assert schedule(1).phase1_steps == 0
+        assert schedule(2).phase1_steps == math.ceil(math.log(2)
+                                                     / math.log(1.5)) == 2
 
     @pytest.mark.parametrize("N,expected", [
         (2 ** 14, 30), (2 ** 17, 36), (2 ** 20, 41),
     ])
     def test_phase1_schedule(self, N, expected):
         # ceil((ln N + ln ln N) / ln(1+p)) at p=0.5
-        assert phase1_steps(N, 0.5, default_phase1_slack(N)) == expected
+        assert schedule(N).phase1_steps == expected
 
     def test_phase1_excess_vanishes(self):
         # the warm-up must be (1+o(1)) ln N / ln(1+p): its ratio to the
         # growth term falls towards 1, where a constant slack s would stay
         # at 1+s or above at every N
-        ratios = [phase1_steps(N, 0.5, default_phase1_slack(N))
-                  / (math.log(N) / math.log(1.5))
+        ratios = [schedule(N).phase1_steps / (math.log(N) / math.log(1.5))
                   for N in (2 ** 20, 2 ** 64, 2 ** 256)]
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
         assert ratios[2] - 1.0 < (ratios[0] - 1.0) / 2
 
     def test_max_steps(self):
-        assert default_max_steps(1, 0.5) == 1
+        assert schedule(1).step_cap == 1
         expected = math.ceil(64 * math.log(2 ** 10) / math.log(1.5))
-        assert default_max_steps(2 ** 10, 0.5) == expected
+        assert schedule(2 ** 10).step_cap == expected
 
 
 class TestProtocolConfig:
     def test_defaults(self):
         cfg = ProtocolConfig(algorithm=Algorithm.NAIVE, N=2 ** 10, p=0.5)
         assert cfg.epsilon == 0.1
-        assert cfg.segment_length == default_segment_length(2 ** 10)
-        assert cfg.step_cap == default_max_steps(2 ** 10, 0.5)
+        assert cfg.segment_length == round(math.sqrt(math.log(2 ** 10))) == 3
+        assert cfg.step_cap == math.ceil(64 * math.log(2 ** 10)
+                                         / math.log(1.5)) == 1095
+        assert cfg.phase1_steps == math.ceil(
+            (math.log(2 ** 10) + math.log(math.log(2 ** 10)))
+            / math.log(1.5)) == 22
+        with pytest.raises(AttributeError):
+            cfg.phase1_steps = 1
 
     def test_overrides(self):
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=64, p=0.5,
@@ -287,3 +285,21 @@ class TestSampleActive:
         active = sample_active(N, p, RngStream(seed=seed))
         assert active.dtype == bool and active.shape == (N,)
         assert active[0]
+
+
+class TestPublicNames:
+    def test_package_exports_exactly_the_modules_names(self):
+        import gossipsim
+        from gossipsim import core, harness, protocols, theory
+        modules = (core, protocols, theory, harness)
+        expected = [name for m in modules for name in m.__all__]
+        assert sorted(gossipsim.__all__) == sorted(expected + ["__version__"])
+        for m in modules:
+            for name in m.__all__:
+                assert getattr(gossipsim, name) is getattr(m, name)
+        assert isinstance(gossipsim.__version__, str)
+        # the schedule is ProtocolConfig's; these helpers are retired
+        for name in ("phase1_steps", "default_phase1_slack",
+                     "default_segment_length", "default_max_steps"):
+            assert not hasattr(gossipsim, name)
+            assert not hasattr(core, name)

@@ -12,9 +12,6 @@ from gossipsim.core import (
     Algorithm,
     ProtocolConfig,
     RngStream,
-    default_phase1_slack,
-    default_segment_length,
-    phase1_steps,
     sample_active,
 )
 from gossipsim import protocols
@@ -246,8 +243,7 @@ def reference_phase1(config, rng):
     targets = protocols._Targets(rng.protocol_generator, config.N)
     n = int(np.count_nonzero(active))
     counts = [1]  # the informed count after each step
-    limit = min(phase1_steps(config.N, config.p,
-                             default_phase1_slack(config.N)), config.step_cap)
+    limit = min(config.phase1_steps, config.step_cap)
     while counts[-1] < n and len(counts) <= limit:
         counts.append(n - step_naive(pending, counts[-1], targets))
     return active, active & ~pending, counts
@@ -284,10 +280,10 @@ def check_run_under_caps(algorithm, p, stream):
     """run equals reference_run at N = 4096 with no cap, a cap at the end
     of phase 1, one step past it and one inside phase 2."""
     N = 4096
-    phase1_end = phase1_steps(N, p, default_phase1_slack(N))
-    full = reference_run(
-        ProtocolConfig(algorithm=algorithm, N=N, p=p, record_trajectory=True),
-        RngStream(seed=21, stream_id=stream))
+    config = ProtocolConfig(algorithm=algorithm, N=N, p=p,
+                            record_trajectory=True)
+    phase1_end = config.phase1_steps
+    full = reference_run(config, RngStream(seed=21, stream_id=stream))
     assert full.completion_time > phase1_end + 3
     inside = (phase1_end + full.completion_time) // 2
     for cap in (None, phase1_end, phase1_end + 1, inside):
@@ -324,8 +320,7 @@ class TestCyclicPhase2:
         cfg = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=4096, p=0.3)
         result = run(cfg, RngStream(seed=21, stream_id=4))
         assert not result.cap_hit
-        assert result.phase1_end == phase1_steps(4096, 0.3,
-                                                 default_phase1_slack(4096))
+        assert result.phase1_end == cfg.phase1_steps
         assert result.completion_time >= result.phase1_end
 
     @settings(max_examples=200, deadline=None)
@@ -551,7 +546,9 @@ class TestImprovedPhase2:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.8])
     def test_matches_sequential_on_warmed_up_networks(self, N, p):
         active, informed, budget = warmed_up(N, p)
-        for ell in (default_segment_length(N), 2, 8):
+        default_ell = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC,
+                                     N=N, p=p).segment_length
+        for ell in (default_ell, 2, 8):
             checked_offsets(active, informed, ell, p, budget)
 
     def test_merge_mid_segment_speeds_the_receiver(self):
@@ -597,9 +594,10 @@ class TestImprovedPhase2:
 
     @pytest.mark.parametrize("p", [0.3, 0.5])
     def test_matches_sequential_at_default_ell_2_16(self, p):
-        N = 2 ** 16
-        active, informed, budget = warmed_up(N, p)
-        checked_offsets(active, informed, default_segment_length(N), p, budget)
+        config = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC,
+                                N=2 ** 16, p=p)
+        active, informed, budget = warmed_up(config.N, p)
+        checked_offsets(active, informed, config.segment_length, p, budget)
 
     def test_merge_cycle_fixture(self):
         # segments [0,5) [5,10) [10,12); the first and last are good. The
@@ -690,8 +688,7 @@ class TestImprovedRun:
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=4096, p=0.5)
         result = run(cfg, RngStream(seed=22, stream_id=1))
         assert not result.cap_hit
-        assert result.phase1_end == phase1_steps(4096, 0.5,
-                                                 default_phase1_slack(4096))
+        assert result.phase1_end == cfg.phase1_steps
         assert result.completion_time > result.phase1_end
 
     def test_trajectory_reconstruction_consistent(self):
@@ -729,7 +726,7 @@ class TestImprovedRun:
         check_run_under_caps(Algorithm.IMPROVED_CYCLIC, p, stream)
 
 
-class TestSegmentView:
+class TestSegmentCensus:
     """The improved protocol's segment census, _segment_census."""
 
     def test_counts_and_fronts(self):
@@ -832,7 +829,7 @@ class TestRunCoupled:
     @staticmethod
     def caps(N, p):
         # none, inside phase 1, at its end, one past it and inside phase 2
-        end = phase1_steps(N, p, default_phase1_slack(N))
+        end = ProtocolConfig(algorithm=Algorithm.NAIVE, N=N, p=p).phase1_steps
         return [None] + sorted({max(1, end - 1), max(1, end), end + 1,
                                 end + 3})
 

@@ -99,6 +99,12 @@ class TestInputChecks:
         lambda: exact_oracle_law(8.9, 0.5),
         lambda: exact_oracle_law(0, 0.5),
         lambda: exact_oracle_law(8, True),
+        lambda: naive_step_kernel(8, 1.5, 2),
+        lambda: naive_step_kernel(2.5, 1, 2),
+        lambda: naive_step_kernel(8, True, 3),
+        lambda: naive_step_kernel(8, 1, 2.0),
+        lambda: naive_step_kernel("8", 1, 2),
+        lambda: naive_step_kernel(0, 0, 0),
     ])
     def test_rejected(self, call):
         with pytest.raises(ConfigError):
@@ -109,6 +115,9 @@ class TestInputChecks:
             lower_bound_tail(0.5, 6.0))
         assert exact_oracle_law(np.int64(3), np.float64(0.5)) == (
             exact_oracle_law(3, 0.5))
+        assert np.array_equal(
+            naive_step_kernel(np.int64(8), np.uint8(2), np.int32(3)),
+            naive_step_kernel(8, 2, 3))
 
 
 class TestStepKernel:
