@@ -11,7 +11,6 @@ from .core import (
 from .protocols import TraceResult, run, run_coupled
 from .theory import (
     ExactLaw,
-    TheoryConstants,
     constant,
     cyclic_beats_naive,
     exact_naive_law,
@@ -38,9 +37,8 @@ __all__ = [
     "Algorithm", "ConfigError", "ProtocolConfig", "RngStream",
     "sample_active",
     "TraceResult", "run", "run_coupled",
-    "ExactLaw", "TheoryConstants", "constant", "cyclic_beats_naive",
-    "exact_naive_law", "exact_oracle_law", "lower_bound_tail",
-    "naive_step_kernel",
+    "ExactLaw", "constant", "cyclic_beats_naive", "exact_naive_law",
+    "exact_oracle_law", "lower_bound_tail", "naive_step_kernel",
     "CellSummary", "CheckResult", "ExperimentSpec", "GridCell",
     "SummaryStats", "SweepRow", "VerifyReport",
     "convergence_sweep", "run_experiment", "verify_suite",

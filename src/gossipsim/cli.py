@@ -104,20 +104,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# theory table column -> the algorithm whose constant it holds
+_THEORY_COLUMNS = (("naive", Algorithm.NAIVE), ("cyclic", Algorithm.CYCLIC),
+                   ("improved", Algorithm.IMPROVED_CYCLIC),
+                   ("lower_bound", Algorithm.ORACLE))
+
+
 def _cmd_theory(args: argparse.Namespace) -> int:
     if args.p:
         grid = list(args.p)
     else:
         grid = [i / 100.0 for i in range(5, 100, 5)]
-    rows = []
-    for p in grid:
-        consts = theory.TheoryConstants.at(p)
-        rows.append({"p": p, "naive": consts.c_naive, "cyclic": consts.c_cyclic,
-                     "improved": consts.c_improved,
-                     "lower_bound": consts.lower_bound_c,
-                     # f(p) tends to -inf as p -> 1 and is undefined at 1
-                     "cyclic_minus_naive_gap": (theory.cyclic_beats_naive(p)
-                                                if p < 1.0 else None)})
+    rows = [{"p": p,
+             **{key: theory.constant(alg, p) for key, alg in _THEORY_COLUMNS},
+             # f(p) tends to -inf as p -> 1 and is undefined at 1
+             "cyclic_minus_naive_gap": (theory.cyclic_beats_naive(p)
+                                        if p < 1.0 else None)}
+            for p in grid]
     if args.json:
         print(json.dumps(rows, sort_keys=True))
         return 0

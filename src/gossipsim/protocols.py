@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import Algorithm, ProtocolConfig, RngStream, sample_active
+from .core import (Algorithm, ConfigError, ProtocolConfig, RngStream,
+                   sample_active)
 
 __all__ = ["TraceResult", "run_coupled", "run"]
 
@@ -384,7 +385,10 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     leaves, active ^ pending, built in the active mask's place, and naive
     then keeps stepping the pending mask. A protocol generator is built at
     a run's first draw, so a trial with only node 0 active builds none.
+    An algorithm asked for twice is a ConfigError.
     """
+    if len(set(algorithms)) != len(algorithms):
+        raise ConfigError(f"repeated algorithm in {tuple(algorithms)!r}")
     active = sample_active(config.N, config.p, rng)
     n = int(np.count_nonzero(active))
     cap = config.step_cap

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .core import (Algorithm, ConfigError, _is_real, _positive_int,
                    _probability, _uint64)
 
 __all__ = [
-    "TheoryConstants",
     "constant",
     "cyclic_beats_naive",
     "ExactLaw",
@@ -30,27 +29,6 @@ __all__ = [
 _NAIVE_LAW_MAX_N = 20
 _NAIVE_LAW_RESIDUAL = 1e-13  # uncompleted mass at which the naive DP stops
 _ORACLE_LAW_MAX_N = 64
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """All completion constants evaluated at one fault probability."""
-
-    p: float
-    c_naive: float
-    c_cyclic: float
-    c_improved: float
-    lower_bound_c: float
-
-    @classmethod
-    def at(cls, p: float) -> "TheoryConstants":
-        return cls(
-            p=p,
-            c_naive=constant(Algorithm.NAIVE, p),
-            c_cyclic=constant(Algorithm.CYCLIC, p),
-            c_improved=constant(Algorithm.IMPROVED_CYCLIC, p),
-            lower_bound_c=constant(Algorithm.ORACLE, p),
-        )
 
 
 def constant(algorithm: Algorithm, p: float) -> float:
@@ -168,60 +146,73 @@ def naive_step_kernel(N: int, k: int, u: int) -> np.ndarray:
     return probs
 
 
-def _naive_law_fixed_active(N: int, a: int) -> Dict[int, float]:
-    """Completion-time law for exactly a active nodes (node 0 informed)."""
-    if a <= 1:
-        return {0: 1.0}
-    # kernel rows for every informed count k; uninformed actives u = a - k
-    kernels = {k: naive_step_kernel(N, k, a - k) for k in range(1, a)}
-    dist = np.zeros(a + 1, dtype=np.float64)
-    dist[1] = 1.0
-    law: Dict[int, float] = {}
-    t = 0
-    while dist[:a].sum() > _NAIVE_LAW_RESIDUAL:
-        t += 1
-        nxt = np.zeros(a + 1, dtype=np.float64)
-        nxt[a] = dist[a]
-        for k in range(1, a):
-            mass = dist[k]
-            if mass <= 0.0:
-                continue
-            kernel = kernels[k]
-            for j, q in enumerate(kernel):
-                if q > 0.0:
-                    nxt[k + j] += mass * q
-        arrived = nxt[a] - dist[a]
-        if arrived > 0.0:
-            law[t] = law.get(t, 0.0) + arrived
-        dist = nxt
-    leftover = dist[:a].sum()
-    if leftover > 0.0 and law:
-        law[max(law)] += leftover  # fold sub-residual tail into the top atom
-    return law
+def _completion_cdf(states: Dict[Hashable, float],
+                    step: Callable[[Hashable], List[Tuple[Hashable, float]]],
+                    done: Callable[[Hashable], float],
+                    residual: Optional[float] = None) -> List[float]:
+    """P(T <= t) for t = 0, 1, ... of a Markov chain on finitely many states.
+
+    states maps each state to its mass at t = 0, step(state) lists the
+    (next state, probability) pairs of one round and done(state) is the
+    probability that a run in that state has completed, 1 once it can no
+    longer change. Rounds go on until every state is done or, with a
+    residual, until the mass of states not done is at most residual.
+    """
+    cdf = []
+    while True:
+        cdf.append(math.fsum(mass * done(s) for s, mass in states.items()))
+        pending = [mass for s, mass in states.items() if done(s) < 1.0]
+        if not pending or (residual is not None
+                           and math.fsum(pending) <= residual):
+            return cdf
+        nxt: Dict[Hashable, float] = {}
+        for s, mass in states.items():
+            for s_next, prob in step(s):
+                nxt[s_next] = nxt.get(s_next, 0.0) + mass * prob
+        states = nxt
+
+
+def _law_from_cdf(cdf: Sequence[float]) -> ExactLaw:
+    """The law whose P(T <= t) is cdf[t], made nondecreasing, capped at 1
+    and ended at exactly 1; zero atoms are dropped, except the last."""
+    cdf = np.minimum(np.maximum.accumulate(np.asarray(cdf, dtype=np.float64)),
+                     1.0)
+    cdf[-1] = 1.0
+    probs = np.diff(cdf, prepend=0.0)
+    keep = probs > 0.0
+    keep[-1] = True
+    return ExactLaw(tuple(int(t) for t in np.flatnonzero(keep)),
+                    tuple(float(q) for q in probs[keep]))
 
 
 def exact_naive_law(N: int, p: float) -> ExactLaw:
     """Exact completion-time law of the random-push protocol.
 
-    Dynamic program over the informed count with the one-round kernel,
-    mixed over the Binomial(N-1, p) law of the active count (node 0 is
-    forced active). Mass below _NAIVE_LAW_RESIDUAL folds into the top atom.
+    For each active count a (node 0 is forced active, the others follow
+    Binomial(N-1, p)), a chain over the informed count k steps by the
+    one-round kernel and is done at k = a. It stops once at most
+    _NAIVE_LAW_RESIDUAL of its mass is left short of a, and counts as done
+    from its last round on.
     """
     N = _positive_int(N, "N")
     if N > _NAIVE_LAW_MAX_N:
         raise ConfigError(f"exact_naive_law supports 1 <= N <= {_NAIVE_LAW_MAX_N}")
     p = _probability(p)
-    mixed: Dict[int, float] = {}
-    for extra in range(N):
-        weight = math.comb(N - 1, extra) * p ** extra * (1.0 - p) ** (N - 1 - extra)
+    mixture = []  # (weight, completion CDF) per active count
+    for a in range(1, N + 1):
+        weight = math.comb(N - 1, a - 1) * p ** (a - 1) * (1.0 - p) ** (N - a)
         if weight <= 0.0:
             continue
-        for t, q in _naive_law_fixed_active(N, extra + 1).items():
-            mixed[t] = mixed.get(t, 0.0) + weight * q
-    support = sorted(mixed)
-    probs = [mixed[t] for t in support]
-    probs[-1] += 1.0 - math.fsum(probs)
-    return ExactLaw(tuple(support), tuple(probs))
+        rows = {}  # k -> [(k + j, P(j newly informed))], j of positive mass
+        for k in range(1, a + 1):
+            kernel = naive_step_kernel(N, k, a - k).tolist()
+            rows[k] = [(k + j, q) for j, q in enumerate(kernel) if q > 0.0]
+        mixture.append((weight, _completion_cdf(
+            {1: 1.0}, rows.__getitem__, a.__eq__, _NAIVE_LAW_RESIDUAL)))
+    horizon = max(len(cdf) for _, cdf in mixture)
+    return _law_from_cdf([
+        math.fsum(w * (cdf[t] if t < len(cdf) - 1 else 1.0) for w, cdf in mixture)
+        for t in range(horizon)])
 
 
 def exact_oracle_law(N: int, p: float) -> ExactLaw:
@@ -231,48 +222,22 @@ def exact_oracle_law(N: int, p: float) -> ExactLaw:
     hits per round; fresh labels are i.i.d. active with probability p, so
     completion by round t is the event that the u untargeted labels are all
     inactive, with probability (1-p)^u. The law is exact and finite: u
-    strictly decreases every round.
+    strictly decreases every round until it is 0.
     """
     N = _positive_int(N, "N")
     if N > _ORACLE_LAW_MAX_N:
         raise ConfigError(f"exact_oracle_law supports 1 <= N <= {_ORACLE_LAW_MAX_N}")
     p = _probability(p)
-    if N == 1:
-        return ExactLaw((0,), (1.0,))
     q = 1.0 - p
-    binom_cache: Dict[int, np.ndarray] = {}
+    rows = []  # m = min(k, u) -> [(h, P(h hits))], h of positive mass
+    for m in range(N):
+        probs = (math.comb(m, h) * p ** h * q ** (m - h) for h in range(m + 1))
+        rows.append([(h, ph) for h, ph in enumerate(probs) if ph > 0.0])
 
-    def binom_row(m: int) -> np.ndarray:
-        row = binom_cache.get(m)
-        if row is None:
-            row = np.array([math.comb(m, h) * p ** h * q ** (m - h)
-                            for h in range(m + 1)])
-            binom_cache[m] = row
-        return row
+    def step(state: Tuple[int, int]) -> List[Tuple[Tuple[int, int], float]]:
+        k, u = state
+        m = min(k, u)
+        return [((k + h, u - m), ph) for h, ph in rows[m]]
 
-    states: Dict[Tuple[int, int], float] = {(1, N - 1): 1.0}
-    law: List[float] = []
-    done_mass = q ** (N - 1)
-    law.append(done_mass)  # P(T <= 0): every other node inactive
-    prev = done_mass
-    while any(u > 0 for (_, u) in states):
-        nxt: Dict[Tuple[int, int], float] = {}
-        for (k, u), mass in states.items():
-            if u == 0:
-                nxt[(k, 0)] = nxt.get((k, 0), 0.0) + mass
-                continue
-            m = min(k, u)
-            for h, ph in enumerate(binom_row(m)):
-                if ph > 0.0:
-                    key = (k + h, u - m)
-                    nxt[key] = nxt.get(key, 0.0) + mass * ph
-        states = nxt
-        reached = math.fsum(mass * q ** u for (k, u), mass in states.items())
-        law.append(reached - prev)
-        prev = reached
-    support = tuple(range(len(law)))
-    probs = np.clip(np.array(law), 0.0, None)
-    probs[-1] += 1.0 - probs.sum()
-    keep = (probs > 0.0) | (np.arange(len(law)) == len(law) - 1)
-    return ExactLaw(tuple(int(t) for t in np.flatnonzero(keep)),
-                    tuple(float(x) for x in probs[keep]))
+    return _law_from_cdf(_completion_cdf({(1, N - 1): 1.0}, step,
+                                         lambda state: q ** state[1]))

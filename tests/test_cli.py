@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from gossipsim import cli
 from gossipsim.core import Algorithm
 from gossipsim.harness import CheckResult, VerifyReport
-from gossipsim.theory import TheoryConstants, constant
+from gossipsim.theory import constant
 
 
 def write_spec(tmp_path, **overrides):
@@ -112,10 +113,10 @@ class TestTheoryCommand:
     def test_explicit_p_json(self, capsys):
         assert cli.main(["theory", "--p", "0.5", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        expected = TheoryConstants.at(0.5)
-        assert rows[0]["naive"] == pytest.approx(expected.c_naive)
-        assert rows[0]["cyclic"] == pytest.approx(expected.c_cyclic)
-        assert rows[0]["improved"] == pytest.approx(expected.c_improved)
+        assert rows[0]["naive"] == pytest.approx(constant(Algorithm.NAIVE, 0.5))
+        assert rows[0]["cyclic"] == pytest.approx(constant(Algorithm.CYCLIC, 0.5))
+        assert rows[0]["improved"] == pytest.approx(
+            constant(Algorithm.IMPROVED_CYCLIC, 0.5))
         assert rows[0]["cyclic_minus_naive_gap"] < 0
 
     def test_p_one_has_no_gap(self, capsys):
@@ -154,6 +155,16 @@ class TestOracleLawCommand:
         assert cli.main(["oracle-law", "--N", "8", "--p", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "P(T=t)" in out and "mean" in out
+
+    def test_cdf_rounding_to_one_early_exits_0(self, capsys):
+        # P(T <= t) rounds to 1.0 while some state still has u > 0
+        assert cli.main(["oracle-law", "--N", "18", "--p", "0.93", "--json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert math.fsum(payload["law"].values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_oversized_n_exits_2(self):
         assert cli.main(["oracle-law", "--N", "512", "--p", "0.5"]) == 2

@@ -236,6 +236,13 @@ class TestConvergenceSweep:
             convergence_sweep(naive, 0.5, [8, 16.5], trials=2)
         with pytest.raises(ConfigError):
             convergence_sweep(naive, 0.5, [8, 16], trials=2.5)
+        # a repeated algorithm would be reported twice or break the rows
+        with pytest.raises(ConfigError, match="repeated algorithm"):
+            convergence_sweep((Algorithm.NAIVE, Algorithm.NAIVE), 0.5, [8, 16],
+                              trials=3)
+        with pytest.raises(ConfigError, match="repeated algorithm"):
+            convergence_sweep((Algorithm.NAIVE, Algorithm.CYCLIC,
+                               Algorithm.NAIVE), 0.5, [8, 16], trials=3)
 
     def test_oracle_full_activity_is_exact(self):
         rows = convergence_sweep((Algorithm.ORACLE,), 1.0, [2 ** 10, 2 ** 12],

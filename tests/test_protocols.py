@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gossipsim.core import (
     Algorithm,
+    ConfigError,
     ProtocolConfig,
     RngStream,
     sample_active,
@@ -544,7 +545,7 @@ class TestImprovedPhase2:
 
     @pytest.mark.parametrize("N", [2 ** 12, 2 ** 14])
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.8])
-    def test_matches_sequential_on_warmed_up_networks(self, N, p):
+    def test_matches_reference_on_warmed_up_networks(self, N, p):
         active, informed, budget = warmed_up(N, p)
         default_ell = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC,
                                      N=N, p=p).segment_length
@@ -593,7 +594,7 @@ class TestImprovedPhase2:
         assert checked_offsets(active, informed, 3, 1.0, 100) == {1: 2, 2: 2}
 
     @pytest.mark.parametrize("p", [0.3, 0.5])
-    def test_matches_sequential_at_default_ell_2_16(self, p):
+    def test_matches_reference_at_default_ell_2_16(self, p):
         config = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC,
                                 N=2 ** 16, p=p)
         active, informed, budget = warmed_up(config.N, p)
@@ -875,6 +876,14 @@ class TestRunCoupled:
         config = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=64, p=0.5)
         result = run_coupled(config, (Algorithm.CYCLIC,), RngStream(seed=3))
         assert result[Algorithm.CYCLIC].config is config
+
+    def test_repeated_algorithm_rejected(self):
+        # one result per algorithm: a repeat would run its phase 2 twice
+        config = ProtocolConfig(algorithm=Algorithm.CYCLIC, N=64, p=0.5)
+        for algorithms in [(Algorithm.CYCLIC, Algorithm.CYCLIC),
+                           (Algorithm.NAIVE, Algorithm.ORACLE, Algorithm.NAIVE)]:
+            with pytest.raises(ConfigError, match="repeated algorithm"):
+                run_coupled(config, algorithms, RngStream(seed=3))
 
     def test_layers_called_through_module_globals(self, monkeypatch):
         # per-layer tracing wraps protocols.sample_active and

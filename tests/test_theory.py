@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gossipsim.core import Algorithm, ConfigError
 from gossipsim.theory import (
     ExactLaw,
-    TheoryConstants,
+    _law_from_cdf,
     constant,
     cyclic_beats_naive,
     exact_naive_law,
@@ -24,13 +24,18 @@ def _cdf_at(law: ExactLaw, t: int) -> float:
     return sum(pr for s, pr in zip(law.support, law.probabilities) if s <= t)
 
 
+def _assert_valid(law: ExactLaw) -> None:
+    assert all(pr >= 0.0 for pr in law.probabilities)
+    assert math.fsum(law.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestConstants:
     def test_frozen_values_at_half(self):
-        c = TheoryConstants.at(0.5)
-        assert c.c_naive == pytest.approx(4.46630346, abs=1e-8)
-        assert c.c_cyclic == pytest.approx(3.90899850, abs=1e-8)
-        assert c.c_improved == pytest.approx(2.46630346, abs=1e-8)
-        assert c.lower_bound_c == c.c_improved
+        assert constant(Algorithm.NAIVE, 0.5) == pytest.approx(4.46630346, abs=1e-8)
+        assert constant(Algorithm.CYCLIC, 0.5) == pytest.approx(3.90899850, abs=1e-8)
+        improved = constant(Algorithm.IMPROVED_CYCLIC, 0.5)
+        assert improved == pytest.approx(2.46630346, abs=1e-8)
+        assert constant(Algorithm.ORACLE, 0.5) == improved
 
     def test_limit_at_full_activity(self):
         # second cyclic term vanishes as p -> 1
@@ -180,6 +185,12 @@ class TestExactNaiveLaw:
         with pytest.raises(ConfigError):
             exact_naive_law(21, 0.5)
 
+    @pytest.mark.parametrize("N, p", [(5, 0.93), (8, 0.96), (10, 0.87),
+                                      (11, 0.6)])
+    def test_valid_where_the_top_atom_is_tiny(self, N, p):
+        # each top atom is smaller than the rounding error of the mixture
+        _assert_valid(exact_naive_law(N, p))
+
 
 class TestExactOracleLaw:
     def test_full_activity_point_mass(self):
@@ -213,6 +224,11 @@ class TestExactOracleLaw:
         with pytest.raises(ConfigError):
             exact_oracle_law(65, 0.5)
 
+    @pytest.mark.parametrize("N, p", [(18, 0.93), (19, 0.95), (21, 0.89)])
+    def test_valid_where_the_cdf_rounds_to_one_early(self, N, p):
+        # P(T <= t) rounds to 1.0 while some state still has u > 0
+        _assert_valid(exact_oracle_law(N, p))
+
 
 class TestExactLawType:
     def test_cdf_monotone(self):
@@ -240,3 +256,11 @@ class TestExactLawType:
             ExactLaw(support=(0, 1), probabilities=(0.7, 0.7))
         with pytest.raises(ConfigError):
             ExactLaw(support=(0,), probabilities=(-1.0,))
+
+
+class TestLawFromCdf:
+    def test_rounding_dust_is_clamped(self):
+        # a dip of 1e-16 and an overshoot of 2e-16 give no negative atom
+        law = _law_from_cdf([0.3, 0.3 - 1e-16, 0.7, 1.0 + 2e-16, 1.0])
+        assert law.support == (0, 2, 3, 4)
+        assert law.probabilities == (0.3, 0.7 - 0.3, 1.0 - 0.7, 0.0)
