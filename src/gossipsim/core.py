@@ -13,10 +13,12 @@ its first protocol draw, so a trial that draws nothing builds none.
 
 Each generator is a PCG64 seeded exactly as from numpy's
 SeedSequence(entropy=seed, spawn_key=(stream_id, domain)), but without
-building one: a plain-Python port of SeedSequence's mixing computes the
-four state words, and the seed's share of the mixing is cached per seed,
-the stream's per (seed, stream_id). So a generator's bit_generator.seed_seq
-is a words object, not a SeedSequence, and Generator.spawn is unsupported.
+building one: a numpy port of SeedSequence's mixing computes the four
+state words of both domains for a block of 256 streams in one pass, and
+caches them per (seed, block), block = stream_id // 256, on top of the
+seed's share of the mixing, cached per seed. So a generator's
+bit_generator.seed_seq is a words object, not a SeedSequence, and
+Generator.spawn is unsupported.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -69,122 +71,108 @@ _DOMAIN_ACTIVE = 0
 _DOMAIN_PROTOCOL = 1
 
 # An exact port of numpy's SeedSequence with its default pool of four
-# 32-bit words (itself a port of O'Neill's seed_seq). Its hash constants
-# run through a fixed sequence whatever the data: the i-th hash of the
-# mixing uses _HASH_A[i] and _HASH_A[i + 1], the i-th output word
-# _HASH_B[i] and _HASH_B[i + 1]. An RngStream's assembled entropy is always
+# 32-bit words (itself a port of O'Neill's seed_seq), in uint64 arithmetic
+# masked to 32 bits after every multiply; every constant is an np.uint64,
+# so no operand is promoted to int64 or float. Its hash constants run
+# through a fixed sequence whatever the data: the i-th hash of the mixing
+# uses _HASH_A[i] and _HASH_A[i + 1], the i-th output word _HASH_B[i] and
+# _HASH_B[i + 1]. An RngStream's assembled entropy is always
 # [seed_lo, seed_hi, 0, 0], then stream_id as one word, or two from 2^32
 # on, then the domain word; the first four fill the pool and are mixed
 # with each other, and each later word is mixed into every pool word.
-_MASK32 = 0xFFFFFFFF
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
+_MASK32 = np.uint64(0xFFFFFFFF)
+_MIX_MULT_L = np.uint64(0xCA01F9DD)
+_MIX_MULT_R = np.uint64(0x4973F715)
+_SHIFT16, _SHIFT32 = np.uint64(16), np.uint64(32)
 
 
-def _hash_constants(init: int, mult: int, n: int) -> Tuple[int, ...]:
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The n hash constants as a column, one row per hash."""
     consts = [init]
     for _ in range(n - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return tuple(consts)
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint64)[:, None]
 
 
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 29)  # the mixing's 28
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)  # the output's 8
 
 
-def _hashmix(value: int, i: int) -> int:
-    """SeedSequence's hashmix of value as its i-th hash."""
-    value = (value ^ _HASH_A[i]) * _HASH_A[i + 1] & _MASK32
-    return value ^ value >> 16
+def _hashmix(value: np.ndarray, consts: np.ndarray, i: int,
+             n: int) -> np.ndarray:
+    """SeedSequence's hashmix of value as hashes i to i + n - 1 of consts,
+    one row per hash."""
+    value = (value ^ consts[i:i + n]) * consts[i + 1:i + n + 1] & _MASK32
+    return value ^ value >> _SHIFT16
 
 
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of pool word x with hashed word y."""
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _absorb(pool: Tuple[int, ...], word: int, i: int) -> Tuple[int, ...]:
-    """The pool after a word past the fourth is mixed into each pool word,
-    as hashes i to i + 3."""
-    return tuple(_mix(x, _hashmix(word, i + j)) for j, x in enumerate(pool))
+    return result ^ result >> _SHIFT16
 
 
 @lru_cache(maxsize=256)
-def _seed_pool(seed: int) -> Tuple[int, ...]:
-    """The pool once the entropy [seed_lo, seed_hi, 0, 0] is hashed in and
-    mixed, hashes 0 to 15."""
-    pool = [_hashmix(w, i) for i, w in enumerate((seed & _MASK32, seed >> 32,
-                                                  0, 0))]
-    i = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], i))
-                i += 1
-    return tuple(pool)
+def _seed_pool(seed: int) -> np.ndarray:
+    """The pool, a column of four words, once the entropy
+    [seed_lo, seed_hi, 0, 0] is hashed in and mixed, hashes 0 to 15."""
+    pool = _hashmix(np.array([[seed & 0xFFFFFFFF], [seed >> 32], [0], [0]],
+                             dtype=np.uint64), _HASH_A, 0, 4)
+    # word src is hashed into each other word in turn, hashes i to i + 2;
+    # those three mixes read only word src, so they run as one
+    for i, src in zip(range(4, 16, 3), range(4)):
+        dst = [w for w in range(4) if w != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, i, 3))
+    pool.flags.writeable = False
+    return pool
 
 
-@lru_cache(maxsize=64)
-def _stream_pool(seed: int, stream_id: int):
-    """The pool once seed and stream_id are absorbed, and the hashed domain
-    words to absorb next, indexed by domain. Called with Python ints: the
-    mixing overflows in a numpy integer's fixed width."""
+# Streams are seeded a block at a time: block b holds stream_ids
+# 256 b to 256 b + 255. 2^32 is a multiple of 256, so a block's ids all
+# take one entropy word, or all take two.
+_BLOCK = 256
+_LANES = np.arange(_BLOCK, dtype=np.uint64)
+_DOMAINS = np.array([_DOMAIN_ACTIVE, _DOMAIN_PROTOCOL],
+                    dtype=np.uint64)[:, None, None]
+
+
+@lru_cache(maxsize=8)
+def _block_states(seed: int, block: int) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(stream_id, domain))
+    .generate_state(4, np.uint64) for each stream_id of the block and each
+    domain, shape (256, 2, 4). Read-only: the cache hands it to every
+    caller."""
+    ids = np.uint64(block * _BLOCK) + _LANES
+    words = ((ids,) if block < 2 ** 32 // _BLOCK
+             else (ids & _MASK32, ids >> _SHIFT32))
     pool, i = _seed_pool(seed), 16
-    for word in ((stream_id,) if stream_id <= _MASK32
-                 else (stream_id & _MASK32, stream_id >> 32)):
-        pool = _absorb(pool, word, i)
+    for word in words:
+        pool = _mix(pool, _hashmix(word, _HASH_A, i, 4))
         i += 4
-    return pool, _HASHED_DOMAINS[i]
-
-
-# the domain words, 0 and 1, hashed as the last word after one or two
-# stream_id words
-_HASHED_DOMAINS = {i: tuple(tuple(_hashmix(domain, i + j) for j in range(4))
-                            for domain in (_DOMAIN_ACTIVE, _DOMAIN_PROTOCOL))
-                   for i in (20, 24)}
-
-_B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = _HASH_B
-
-
-def _state_words(pool: Tuple[int, ...], hashed: Tuple[int, ...]):
-    """SeedSequence's generate_state(4, np.uint64) of the pool once the
-    hashed domain words are mixed in: eight 32-bit output words, pool
-    words 0-3 twice, paired little-endian. Written out in full, as it runs
-    once per generator."""
-    x0, x1, x2, x3 = pool
-    y0, y1, y2, y3 = hashed
-    L, R, M = _MIX_MULT_L, _MIX_MULT_R, _MASK32
-    r = (L * x0 - R * y0) & M
-    r ^= r >> 16
-    a, e = (r ^ _B0) * _B1 & M, (r ^ _B4) * _B5 & M
-    r = (L * x1 - R * y1) & M
-    r ^= r >> 16
-    b, f = (r ^ _B1) * _B2 & M, (r ^ _B5) * _B6 & M
-    r = (L * x2 - R * y2) & M
-    r ^= r >> 16
-    c, g = (r ^ _B2) * _B3 & M, (r ^ _B6) * _B7 & M
-    r = (L * x3 - R * y3) & M
-    r ^= r >> 16
-    d, h = (r ^ _B3) * _B4 & M, (r ^ _B7) * _B8 & M
-    return (a ^ a >> 16 | (b ^ b >> 16) << 32,
-            c ^ c >> 16 | (d ^ d >> 16) << 32,
-            e ^ e >> 16 | (f ^ f >> 16) << 32,
-            g ^ g >> 16 | (h ^ h >> 16) << 32)
+    # the domain word mixed in per domain makes the pool (domain, pool
+    # word, stream); the eight output words are pool words 0-3 twice,
+    # paired little-endian into the four uint64 state words
+    pool = _mix(pool, _hashmix(_DOMAINS, _HASH_A, i, 4))
+    out = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B, 0, 8)
+    states = np.ascontiguousarray(
+        (out[:, 0::2] | out[:, 1::2] << _SHIFT32).transpose(2, 0, 1))
+    states.flags.writeable = False
+    return states
 
 
 class _StateWords(ISeedSequence):
     """What PCG64 is seeded from in place of a SeedSequence: the four words
-    that SeedSequence's generate_state(4, np.uint64) would return."""
+    that SeedSequence's generate_state(4, np.uint64) would return, as a
+    contiguous uint64 array (PCG64 reads its buffer as it is)."""
 
-    def __init__(self, words: Tuple[int, ...]) -> None:
+    def __init__(self, words: np.ndarray) -> None:
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         if n_words != 4 or dtype is not np.uint64:
             raise ValueError("only the 4 uint64 words a PCG64 seed takes "
                              "are available")
-        return np.array(self.words, dtype=np.uint64)
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -200,11 +188,11 @@ class RngStream:
 
     def _generator(self, domain: int) -> np.random.Generator:
         """Generator(PCG64(SeedSequence(entropy=seed,
-        spawn_key=(stream_id, domain)))), in the same state, built from the
-        ported mixing."""
-        pool, hashed = _stream_pool(int(self.seed), int(self.stream_id))
-        return np.random.Generator(np.random.PCG64(
-            _StateWords(_state_words(pool, hashed[domain]))))
+        spawn_key=(stream_id, domain)))), in the same state, read from the
+        states of the stream's block."""
+        block, lane = divmod(int(self.stream_id), _BLOCK)
+        return np.random.Generator(np.random.PCG64(_StateWords(
+            _block_states(int(self.seed), block)[lane, domain])))
 
     def active_generator(self) -> np.random.Generator:
         """Generator used exclusively to sample the active set."""

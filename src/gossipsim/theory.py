@@ -126,23 +126,23 @@ def naive_step_kernel(N: int, k: int, u: int) -> np.ndarray:
 
     k informed senders each target one of the N nodes uniformly and
     independently; u distinct targets are active-and-uninformed. Entry j is
-    the probability that exactly j of those u receive at least one message,
-    by inclusion-exclusion over missed subsets.
+    the probability that exactly j of those u receive at least one message.
+    It is built sender by sender: with j targets hit so far, the next
+    sender hits a new one with probability (u - j) / N. Every term is
+    non-negative, so no cancellation can make an entry negative, as
+    inclusion-exclusion over missed subsets does in floating point.
     """
     N, k, u = _positive_int(N, "N"), _uint64(k, "k"), _uint64(u, "u")
-    if u > N:
-        raise ConfigError(f"u must be at most N={N}, got {u}")
+    if k > N or u > N:
+        raise ConfigError(f"k and u must be at most N={N}, got {k} and {u}")
+    j = np.arange(u + 1)
+    hit, stay = (u - j) / N, (N - u + j) / N
     probs = np.zeros(u + 1, dtype=np.float64)
-    for j in range(u + 1):
-        acc = 0.0
-        for i in range(j + 1):
-            term = math.comb(j, i) * ((N - u + j - i) / N) ** k
-            acc += term if (i % 2 == 0) else -term
-        probs[j] = math.comb(u, j) * acc
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total > 0:
-        probs /= total
+    probs[0] = 1.0
+    for _ in range(k):
+        moved = probs[:-1] * hit[:-1]
+        probs *= stay
+        probs[1:] += moved
     return probs
 
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipsim import core
 from gossipsim.core import (
     Algorithm,
     ConfigError,
@@ -116,6 +118,22 @@ class TestSeedSequencePort:
     @settings(max_examples=300, deadline=None)
     def test_random_pairs(self, seed, stream_id):
         assert_seeded_as_seed_sequence(seed, stream_id)
+
+    @pytest.mark.parametrize("seed", [5, 2 ** 32 + 5])
+    @pytest.mark.parametrize("stream_id", [
+        255, 256, 511, 2 ** 32 - 256, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 256,
+        2 ** 64 - 1])
+    def test_block_edges(self, seed, stream_id):
+        # streams are seeded 256 at a time, per (seed, stream_id // 256)
+        assert_seeded_as_seed_sequence(seed, stream_id)
+
+    def test_states_survive_eviction(self):
+        blocks = core._block_states.cache_info().maxsize + 8
+        streams = [(b << 8) + lane for b in range(blocks)
+                   for lane in (0, 101, 255)]
+        order = random.Random(3).sample(streams * 2, 2 * len(streams))
+        for stream_id in order:
+            assert_seeded_as_seed_sequence(2 ** 40 + 9, stream_id)
 
 
 def schedule(N, p=0.5):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gossipsim import harness
+from gossipsim import core, harness
 from gossipsim.core import Algorithm, ConfigError, ProtocolConfig
 from gossipsim.harness import (
     ACCEPTANCE_SEED,
@@ -131,6 +131,17 @@ class TestRunExperiment:
         run_experiment(ExperimentSpec.from_dict(spec_dict(out_b, grid=grid)),
                        workers=3)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_each_block_of_streams_seeded_once(self, tmp_path):
+        # 1,000 trials read streams 0-999 of one base seed: four blocks of
+        # 256 streams, each seeded once for both of its domains
+        grid = [{"algorithm": "naive", "N": 8, "p": 0.5},
+                {"algorithm": "oracle", "N": 2, "p": 0.5}]
+        spec = ExperimentSpec.from_dict(spec_dict(
+            tmp_path / "a.csv", grid=grid, trials_per_cell=500))
+        core._block_states.cache_clear()
+        run_experiment(spec)
+        assert core._block_states.cache_info().misses == 4
 
     def test_csv_shape_and_typing(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,9 +152,26 @@ class TestStepKernel:
         mean = float(np.arange(u + 1) @ probs)
         assert mean == pytest.approx(u * (1 - (1 - 1 / N) ** k), abs=1e-9)
 
+    def test_matches_exact_rationals(self):
+        # inclusion-exclusion over missed subsets, in exact rationals
+        for N in range(1, 15):
+            for k, u in itertools.product(range(N + 1), repeat=2):
+                if k + u > N:
+                    continue
+                probs = naive_step_kernel(N, k, u)
+                assert np.all(probs >= 0.0), (N, k, u)
+                for j, q in enumerate(probs):
+                    exact = math.comb(u, j) * sum(
+                        (-1) ** i * math.comb(j, i)
+                        * Fraction(N - u + j - i, N) ** k
+                        for i in range(j + 1))
+                    assert abs(q - exact) <= 1e-13, (N, k, u, j)
+
     def test_invalid_arguments(self):
         with pytest.raises(ConfigError):
             naive_step_kernel(4, 1, 5)
+        with pytest.raises(ConfigError):
+            naive_step_kernel(4, 5, 1)
         with pytest.raises(ConfigError):
             naive_step_kernel(4, -1, 2)
 
