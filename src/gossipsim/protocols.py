@@ -327,26 +327,36 @@ def _phase2(alg: Algorithm, config: ProtocolConfig, informed: np.ndarray,
             )[1:].tolist()
 
 
-def _run_oracle(active: np.ndarray, n: int, cap: int,
-                gen: np.random.Generator) -> List[int]:
+# numpy's hypergeometric takes good and bad counts below this only
+_HYPERGEOMETRIC_LIMIT = 10 ** 9
+
+
+def _run_oracle(N: int, n: int, cap: int, make_gen) -> List[int]:
     """Coordinated ideal: informed nodes target distinct fresh nodes.
 
-    Each round the k informed nodes take the next k never-targeted nodes
-    of a pre-shuffled uniform order; active targets become informed. By
-    exchangeability of the active labels this has the law of any other
-    coordinated assignment. Returns the informed count after each round.
+    Each round the k informed nodes take min(k, M) of the M labels never
+    targeted, of which u = n - k are active and not yet informed. The
+    labels are exchangeable, so the hits are hypergeometric, the same chain
+    on (k, M) as consecutive batches of a shuffled order, and the law of
+    any coordinated assignment. A round that takes every remaining label
+    hits all u without a draw. The generator comes from the zero-argument
+    factory make_gen at the first draw. Returns the informed count after
+    each round.
     """
-    # node ids, not the active bits: numpy shuffles 8-byte items on a fast
-    # path and 1-byte ones on a generic path, about 1.8x slower at 2^16
-    fresh = np.arange(1, len(active))
-    gen.shuffle(fresh)  # in place: the draws of permutation, without a copy
+    gen = None
     counts = [1]
-    pos = 0
+    fresh = N - 1  # M: the labels never targeted
     while counts[-1] < n and len(counts) <= cap:
         k = counts[-1]
-        batch = fresh[pos:pos + k]
-        pos += k
-        counts.append(k + int(np.count_nonzero(active[batch])))
+        u = n - k
+        if k >= fresh:
+            hits, fresh = u, 0
+        else:
+            if gen is None:
+                gen = make_gen()
+            hits = int(gen.hypergeometric(u, fresh - u, k))
+            fresh -= k
+        counts.append(k + hits)
     return counts
 
 
@@ -376,27 +386,34 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     """Run several algorithms on one trial stream; one result per algorithm.
 
     Every config field but algorithm is shared, and each result equals
-    run() of its algorithm alone. The oracle draws its targets from a fresh
-    protocol generator; the others share one phase 1 on another, push
+    run() of its algorithm alone. The oracle reads only the active count
+    and draws its hypergeometric hit counts from a protocol generator of
+    its own; the others share one phase 1 on another, push
     rounds on a pending mask run to the phased schedule (the cap for naive
     alone). Their targets come from one stream, fetched at least
     _DRAW_BATCH at a time; what is over-drawn is never read. Each phase-2
     engine starts from the pending mask and the informed mask phase 1
     leaves, active ^ pending, built in the active mask's place, and naive
     then keeps stepping the pending mask. A protocol generator is built at
-    a run's first draw, so a trial with only node 0 active builds none.
-    An algorithm asked for twice is a ConfigError.
+    a run's first draw, so a trial with only node 0 active builds none, and
+    nor does an oracle that targets every label in its first round (N = 2).
+    An algorithm asked for twice is a ConfigError, and so is the oracle at
+    N - 1 >= 10^9, past numpy's hypergeometric counts, before any mask
+    is built.
     """
     if len(set(algorithms)) != len(algorithms):
         raise ConfigError(f"repeated algorithm in {tuple(algorithms)!r}")
+    if (Algorithm.ORACLE in algorithms
+            and config.N - 1 >= _HYPERGEOMETRIC_LIMIT):
+        raise ConfigError(f"the oracle needs N - 1 < {_HYPERGEOMETRIC_LIMIT}"
+                          f" (numpy's hypergeometric limit), got N={config.N}")
     active = sample_active(config.N, config.p, rng)
     n = int(np.count_nonzero(active))
     cap = config.step_cap
     runs = {}  # algorithm -> (informed counts, phase1_end)
     if Algorithm.ORACLE in algorithms:
-        oracle = (_run_oracle(active, n, cap, rng.protocol_generator())
-                  if n > 1 else [1])  # node 0 alone: nothing to draw
-        runs[Algorithm.ORACLE] = (oracle, None)
+        runs[Algorithm.ORACLE] = (_run_oracle(config.N, n, cap,
+                                              rng.protocol_generator), None)
     phased = [alg for alg in algorithms
               if alg in (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)]
     naive = Algorithm.NAIVE in algorithms

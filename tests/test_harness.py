@@ -317,7 +317,8 @@ class TestEnsemble:
 
 class TestLawCheck:
     @pytest.mark.parametrize("algorithm,exact_law,cases", [
-        (Algorithm.ORACLE, exact_oracle_law, [(8, ACCEPTANCE_SEED)]),
+        (Algorithm.ORACLE, exact_oracle_law,
+         [(8, ACCEPTANCE_SEED), (64, ACCEPTANCE_SEED + 64)]),
         (Algorithm.NAIVE, exact_naive_law,
          [(2, ACCEPTANCE_SEED + 2), (8, ACCEPTANCE_SEED + 8)]),
     ], ids=["oracle", "naive"])

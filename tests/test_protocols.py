@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -776,6 +777,67 @@ class TestOracle:
         cfg = ProtocolConfig(algorithm=Algorithm.ORACLE, N=1, p=1.0)
         assert run(cfg, RngStream(seed=0)).completion_time == 0
 
+    def test_matches_shuffled_order(self):
+        # reference: the never-targeted labels in a shuffled order, taken k
+        # at a time, the first n - 1 of them pending; the hypergeometric
+        # chain must give the same law of the informed count in every round
+        N, n, trials = 1000, 300, 2000
+
+        def shuffled(gen):
+            pending = gen.permutation(N - 1) < n - 1
+            counts, pos = [1], 0
+            while counts[-1] < n:
+                k = counts[-1]
+                counts.append(k + int(np.count_nonzero(pending[pos:pos + k])))
+                pos += k
+            return counts
+
+        ref = [shuffled(np.random.default_rng([31, i])) for i in range(trials)]
+        chain = [protocols._run_oracle(
+            N, n, N, lambda i=i: np.random.default_rng([32, i]))
+            for i in range(trials)]
+        rounds = max(map(len, ref + chain))
+        ref, chain = (np.array([c + [n] * (rounds - len(c)) for c in runs])
+                      for runs in (ref, chain))
+        se = np.sqrt((ref.var(axis=0) + chain.var(axis=0)) / trials)
+        gap = np.abs(ref.mean(axis=0) - chain.mean(axis=0))
+        assert (gap <= 4.5 * se).all(), (gap, se)
+
+    def test_peak_memory_below_two_bytes_per_node(self):
+        # no int64 temporary of size N: the N-byte active mask sets the peak
+        N = 2 ** 20
+        cfg = ProtocolConfig(algorithm=Algorithm.ORACLE, N=N, p=0.5)
+        tracemalloc.start()
+        try:
+            run(cfg, RngStream(seed=30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * N
+
+    def test_hypergeometric_count_limit(self, monkeypatch):
+        # numpy's hypergeometric takes counts below 10^9; past that the
+        # oracle is refused before sample_active builds a 1 GB mask, and
+        # the other algorithms go on to build it
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(protocols, "sample_active", sampled)
+        for alg in Algorithm:
+            cfg = ProtocolConfig(algorithm=alg, N=10 ** 9 + 1, p=0.5)
+            if alg is Algorithm.ORACLE:
+                with pytest.raises(ConfigError, match="1000000000"):
+                    run(cfg, RngStream(seed=0))
+            else:
+                with pytest.raises(Sampled):
+                    run(cfg, RngStream(seed=0))
+        with pytest.raises(Sampled):
+            run(ProtocolConfig(algorithm=Algorithm.ORACLE, N=10 ** 9, p=0.5),
+                RngStream(seed=0))
+
 
 class TestCouplingAndDeterminism:
     def test_rerun_is_identical(self):
@@ -814,9 +876,9 @@ class TestCouplingAndDeterminism:
             assert result.completion_time == 1
 
     def test_oracle_wins_in_law_not_per_trial(self):
-        # the oracle draws its own target order, so a coupled trial can see
+        # the oracle draws its own hit counts, so a coupled trial can see
         # it finish later; check_domination counts such trials at large N
-        stream = RngStream(seed=7, stream_id=10)
+        stream = RngStream(seed=7, stream_id=0)
         times = {alg: run(ProtocolConfig(algorithm=alg, N=3, p=0.5),
                           stream).completion_time
                  for alg in Algorithm}
@@ -912,8 +974,8 @@ class TestRunCoupled:
     def test_no_draw_builds_no_generator(self, algorithms, monkeypatch):
         # at N = 2 with node 1 inactive node 0 is informed at step 0, so no
         # run draws a target and none builds a protocol generator; with
-        # node 1 active every run draws, the oracle on a generator of its
-        # own and the other three on one shared one
+        # node 1 active the other three draw on one shared generator, and
+        # the oracle's first round takes the one label left without a draw
         builds = []
         original = RngStream.protocol_generator
 
@@ -931,24 +993,24 @@ class TestRunCoupled:
             result = run_coupled(config, algorithms, rng)
             if not node1:
                 assert all(r.completion_time == 0 for r in result.values())
-            expected = ((Algorithm.ORACLE in algorithms)
-                        + (set(algorithms) != {Algorithm.ORACLE})
-                        if node1 else 0)
+            expected = (set(algorithms) != {Algorithm.ORACLE}) and node1
             assert len(builds) == expected, (stream, node1)
             seen[node1] += 1
         assert min(seen.values()) > 5
 
 
-def coupled_digest(cells, seed=1212):
-    """sha256 of every TraceResult field but the config, for all four
-    algorithms run coupled on each (N, p, stream) cell, trajectories on."""
+def coupled_digest(cells, algorithms, seed=1212):
+    """sha256 of every TraceResult field but the config, for the results of
+    the given algorithms when all four run coupled on each (N, p, stream)
+    cell, trajectories on."""
     records = []
     for N, p, stream in cells:
         config = ProtocolConfig(algorithm=Algorithm.NAIVE, N=N, p=p,
                                 record_trajectory=True)
         coupled = run_coupled(config, tuple(Algorithm),
                               RngStream(seed=seed, stream_id=stream))
-        for alg, r in coupled.items():
+        for alg in algorithms:
+            r = coupled[alg]
             records.append([N, p, stream, alg.value, r.n_active,
                             r.completion_time, r.cap_hit, r.phase1_end,
                             r.threshold_times, r.trajectory])
@@ -957,30 +1019,51 @@ def coupled_digest(cells, seed=1212):
 
 
 class TestPinnedOutputs:
-    """Outputs and draw order pinned to a digest recorded on the code
-    before the push kernel moved to one pending mask: a change of any
-    informed count, any phase boundary or any draw moves the digest."""
+    """Outputs and draw order pinned to digests: a change of any informed
+    count, any phase boundary or any draw moves one. The three protocols
+    and the oracle are hashed apart, so a change to one cannot hide behind
+    a re-pin of the other. The protocols' digests were recorded on the code
+    that still shuffled the oracle's targets, whose protocol outputs had
+    not moved since the push kernel moved to one pending mask; the
+    oracle's on the code that first drew its hits as hypergeometric
+    counts."""
+
+    PROTOCOLS = (Algorithm.NAIVE, Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)
+    ORACLE = (Algorithm.ORACLE,)
 
     CELLS = ([(N, p, stream) for N in (8, 10, 1000, 2 ** 16)
               for p in (0.3, 0.5) for stream in range(2)]
              + [(2 ** 20, 0.5, 0)])
-    DIGEST = ("56376f2ca8a88fb8f4f645f2408294835c735a6f698ad28f"
-              "525862d55b958457")
+    DIGEST = ("83eef239905a12f1990d9fd4be033f8f2d494104d1e68e46"
+              "69bd8d3409834f14")
+    ORACLE_DIGEST = ("329c05b327d414e3f3a484344d0189fc6db614e6b25d9898"
+                     "afd37b5ab32ce5d5")
 
     def test_coupled_digest(self):
-        assert coupled_digest(self.CELLS) == self.DIGEST
+        assert coupled_digest(self.CELLS, self.PROTOCOLS) == self.DIGEST
+
+    def test_oracle_digest(self):
+        assert coupled_digest(self.CELLS, self.ORACLE) == self.ORACLE_DIGEST
 
     # where batched push targets and generators built at the first draw
     # could show: N = 2 and 3, where many trials draw nothing, and N = 600
-    # at p = 1.0, where a round's k crosses the batch size mid-trial;
-    # recorded on the code that drew each round's targets in one call
+    # at p = 1.0, where a round's k crosses the batch size mid-trial; the
+    # protocols' outputs there have not moved since the code that drew
+    # each round's targets in one call
     BOUNDARY_CELLS = [(N, p, stream) for N in (2, 3, 600) for p in (0.3, 1.0)
                       for stream in range(3)]
-    BOUNDARY_DIGEST = ("2c782e1af0b1a09c0f420b9f2cacbdbf4bd8004a5496bcb8"
-                       "8f64471a4311c572")
+    BOUNDARY_DIGEST = ("c68f0ceb0c63584fbf1ffa3668fd27aba41aa8771f116574"
+                       "124308324f115562")
+    ORACLE_BOUNDARY_DIGEST = ("3315ce29ed91f8674e72e8b921030b4029c7d5c75543"
+                              "ccf6bbb94922eeb69ba9")
 
     def test_batch_boundary_digest(self):
-        assert coupled_digest(self.BOUNDARY_CELLS) == self.BOUNDARY_DIGEST
+        assert (coupled_digest(self.BOUNDARY_CELLS, self.PROTOCOLS)
+                == self.BOUNDARY_DIGEST)
+
+    def test_oracle_boundary_digest(self):
+        assert (coupled_digest(self.BOUNDARY_CELLS, self.ORACLE)
+                == self.ORACLE_BOUNDARY_DIGEST)
 
 
 class TestLongestUninformedRun:
