@@ -26,8 +26,8 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -210,7 +210,12 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything a single trial needs besides its RngStream."""
+    """Everything a single trial needs besides its RngStream.
+
+    The derived constants (phase1_steps, segment_length, step_cap,
+    stage_levels) are computed at a config's first read of each and kept
+    in its __dict__, outside the fields, so equality, hashing and
+    dataclasses.replace see the fields alone."""
 
     algorithm: Algorithm
     N: int
@@ -229,7 +234,7 @@ class ProtocolConfig:
         if self.max_steps is not None:
             _positive_int(self.max_steps, "max_steps")
 
-    @property
+    @cached_property
     def phase1_steps(self) -> int:
         """Length of the randomized warm-up, ceil((ln N + ln ln N) / ln(1+p))
         steps; 0 for N = 1.
@@ -245,12 +250,12 @@ class ProtocolConfig:
         slack = max(0.0, math.log(ln_n)) / ln_n
         return math.ceil((1.0 + slack) * ln_n / math.log(1.0 + self.p))
 
-    @property
+    @cached_property
     def segment_length(self) -> int:
         """Derived segment length round(sqrt(ln N)), at least 1."""
         return max(1, round(math.sqrt(math.log(self.N))))
 
-    @property
+    @cached_property
     def step_cap(self) -> int:
         """max_steps if set, else ceil(64 ln N / ln(1+p)), at least 1:
         generous enough for any sane configuration."""
@@ -258,6 +263,13 @@ class ProtocolConfig:
             return int(self.max_steps)
         return max(1, math.ceil(64.0 * math.log(self.N)
                                 / math.log(1.0 + self.p)))
+
+    @cached_property
+    def stage_levels(self) -> Tuple[float, float]:
+        """The informed counts epsilon*p*N and (1-epsilon)*p*N whose first
+        crossings are a trial's stage times t_eps and t_one_minus_eps."""
+        return (self.epsilon * self.p * self.N,
+                (1.0 - self.epsilon) * self.p * self.N)
 
 
 def _positive_int(value, name: str) -> int:

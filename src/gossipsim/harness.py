@@ -1,18 +1,19 @@
 """Experiment orchestration: ensembles, persistence, statistics, checks.
 
-run_experiment executes a declarative ExperimentSpec and persists one raw
-row per trial; convergence_sweep tabulates normalized completion times
-over an N ladder. The check_* functions are the statistical and
-exactness checks that gate the simulator, each on fixed seeds and sizes;
-verify_suite runs them at two levels and the acceptance tests call them
-one by one. Output is a pure function of the spec: identical specs give
-byte-identical files.
+run_experiment executes a declarative ExperimentSpec: it keeps each
+cell's trials as columns, one per varying CSV field plus the
+trajectories, and persists one raw row per trial rendered from them;
+convergence_sweep tabulates normalized completion times over an N
+ladder. The check_* functions are the statistical and exactness checks
+that gate the simulator, each on fixed seeds and sizes; verify_suite runs
+them at two levels and the acceptance tests call them one by one. Output
+is a pure function of the spec: identical specs give byte-identical
+files.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -179,19 +180,30 @@ class ExperimentSpec:
         return cls.from_dict(data)
 
 
-def _execute_trial(args) -> dict:
-    """One trial's output row: the CSV_COLUMNS, plus its trajectory if one
-    was recorded."""
-    config, seed, stream_id, trial_id = args
-    result = run(config, RngStream(seed=seed, stream_id=stream_id))
-    row = {"trial_id": trial_id, "algorithm": config.algorithm.value,
-           "N": config.N, "p": config.p, "seed": seed, "stream_id": stream_id,
-           "n_active": result.n_active, "phase1_end": result.phase1_end,
-           **result.threshold_times, "T_n": result.completion_time,
-           "cap_hit": result.cap_hit}
-    if result.trajectory is not None:
-        row["trajectory"] = result.trajectory
-    return row
+# the CSV_COLUMNS a trial's run sets; trial_id and stream_id follow from
+# its cell and stream, and algorithm, N, p and seed from its cell
+_TRIAL_FIELDS = ("n_active", "phase1_end", "t_eps", "t_one_minus_eps",
+                 "T_n", "cap_hit")
+_POOL_CHUNK = 16  # streams per task in the --workers pool
+
+
+def _trial_columns(config: ProtocolConfig, seed: int,
+                   streams: range) -> Dict[str, tuple]:
+    """Run config once on each of the streams under seed; the results as
+    columns in stream order: one per _TRIAL_FIELDS field, and the
+    trajectories under "trajectory" when the config records them. A trial
+    leaves one tuple of its fields, not its TraceResult, so the cell holds
+    few objects for the garbage collector to track."""
+    rows = []
+    for s in streams:
+        r = run(config, RngStream(seed=seed, stream_id=s))
+        rows.append((r.n_active, r.phase1_end, r.threshold_times["t_eps"],
+                     r.threshold_times["t_one_minus_eps"], r.completion_time,
+                     r.cap_hit, r.trajectory))
+    # zip stops at the names, so an unrecorded trajectory gets no column
+    names = _TRIAL_FIELDS + (("trajectory",) if config.record_trajectory
+                             else ())
+    return dict(zip(names, zip(*rows)))
 
 
 @dataclass(frozen=True)
@@ -228,15 +240,17 @@ class SummaryStats:
         return {"cells": [c.as_dict() for c in self.cells]}
 
 
-def _summarize_cell(cell: GridCell, rows: Sequence[dict]) -> CellSummary:
-    T = np.array([r["T_n"] for r in rows], dtype=np.float64)
-    caps = sum(1 for r in rows if r["cap_hit"])
+def _summarize_cell(cell: GridCell, columns: Dict[str, tuple]) -> CellSummary:
+    T = np.array(columns["T_n"], dtype=np.float64)
+    caps = sum(columns["cap_hit"])
     ln_n = math.log(cell.N) if cell.N > 1 else 0.0
     mean = float(T.mean())
     normalized = mean / ln_n if ln_n > 0 else 0.0
     c_theory = constant(cell.algorithm, cell.p)
-    staged = [(r["t_eps"], r["t_one_minus_eps"], r["T_n"]) for r in rows
-              if r["t_eps"] is not None and r["t_one_minus_eps"] is not None]
+    staged = [stages for stages in zip(columns["t_eps"],
+                                       columns["t_one_minus_eps"],
+                                       columns["T_n"])
+              if stages[0] is not None and stages[1] is not None]
     stage_means = None
     if staged:
         arr = np.array(staged, dtype=np.float64)
@@ -248,9 +262,9 @@ def _summarize_cell(cell: GridCell, rows: Sequence[dict]) -> CellSummary:
     q5, q50, q95 = (float(q) for q in np.quantile(T, [0.05, 0.5, 0.95]))
     return CellSummary(
         algorithm=cell.algorithm.value, N=cell.N, p=cell.p,
-        trials=len(rows), cap_hits=caps,
+        trials=len(T), cap_hits=caps,
         mean=mean,
-        stddev=float(T.std(ddof=1)) if len(rows) > 1 else 0.0,
+        stddev=float(T.std(ddof=1)) if len(T) > 1 else 0.0,
         min=int(T.min()), max=int(T.max()),
         q5=q5, q50=q50, q95=q95,
         mean_normalized=normalized,
@@ -270,16 +284,56 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _render_csv(rows: Sequence[dict]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_csv_value(row[col]) for col in CSV_COLUMNS])
-    return buf.getvalue().encode("utf-8")
+def _csv_text(column: Sequence) -> List[str]:
+    """_csv_value of each entry of a trial column, without its type tests:
+    a column holds bools, or ints and None (a cell's float, p, is written
+    in its prefix)."""
+    if isinstance(column[0], bool):
+        return ["true" if v else "false" for v in column]
+    return ["" if v is None else str(v) for v in column]
 
 
-def _render_json(rows: Sequence[dict], summary: SummaryStats) -> bytes:
+def _cell_streams(spec: ExperimentSpec) -> List[range]:
+    """Each cell's streams: trial ti of cell ci runs stream ci*trials + ti."""
+    trials = spec.trials_per_cell
+    return [range(ci * trials, (ci + 1) * trials)
+            for ci in range(len(spec.grid))]
+
+
+def _cell_constants(cell: GridCell, spec: ExperimentSpec) -> dict:
+    """The CSV_COLUMNS fields shared by every row of the cell."""
+    return {"algorithm": cell.algorithm.value, "N": cell.N, "p": cell.p,
+            "seed": spec.base_seed}
+
+
+def _render_csv(spec: ExperimentSpec, tables: Sequence[Dict[str, Sequence]]
+                ) -> bytes:
+    """One line per trial, in cell and stream order. No value holds a comma,
+    a quote or a line break (numbers, true/false, algorithm names), so the
+    lines are joined as csv.writer would write them, without quotes."""
+    lines = [",".join(CSV_COLUMNS)]
+    for cell, streams, columns in zip(spec.grid, _cell_streams(spec), tables):
+        prefix = ",".join(map(_csv_value,
+                              _cell_constants(cell, spec).values()))
+        fields = zip(*(_csv_text(columns[name]) for name in _TRIAL_FIELDS))
+        lines.extend(f"{ti},{prefix},{stream},{','.join(values)}"
+                     for ti, (stream, values)
+                     in enumerate(zip(streams, fields)))
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+def _render_json(spec: ExperimentSpec, tables: Sequence[Dict[str, Sequence]],
+                 summary: SummaryStats) -> bytes:
+    """The rows, as dicts built here from the columns, and the summary."""
+    rows = []
+    for cell, streams, columns in zip(spec.grid, _cell_streams(spec), tables):
+        shared = _cell_constants(cell, spec)
+        names = tuple(columns)
+        for ti, (stream, values) in enumerate(zip(
+                streams, zip(*columns.values()))):
+            rows.append({"trial_id": ti, **shared, "stream_id": stream,
+                         **dict(zip(names, values))})
     payload = {"rows": rows, "summary": summary.as_dict()}
     return (json.dumps(payload, sort_keys=True, separators=(",", ":"))
             + "\n").encode("utf-8")
@@ -304,28 +358,36 @@ def run_experiment(spec: ExperimentSpec,
                    workers: Optional[int] = None) -> SummaryStats:
     """Execute every cell of the spec and persist one raw row per trial.
 
-    Trials are independent work units; with workers > 1 they execute in a
-    process pool, and rows are folded in trial order so the persisted bytes
-    do not depend on scheduling. Nothing is written if any trial fails.
+    Each cell's trials are kept as columns, which _trial_columns fills in
+    one call per cell; with workers > 1 a process pool fills them
+    _POOL_CHUNK streams at a time, and the chunks are joined in stream
+    order, so the persisted bytes do not depend on scheduling. The
+    summaries and the rows are built from the columns. Nothing is written
+    if any trial fails.
     """
     parallel = workers is not None and _positive_int(workers, "workers") > 1
-    tasks = []
-    trials = spec.trials_per_cell
-    for ci, cell in enumerate(spec.grid):
-        config = cell.config(spec.epsilon, spec.record_trajectory)
-        tasks.extend((config, spec.base_seed, ci * trials + ti, ti)
-                     for ti in range(trials))
+    # serially one chunk per cell, in the pool _POOL_CHUNK streams a chunk
+    chunk = _POOL_CHUNK if parallel else spec.trials_per_cell
+    per_cell = len(range(0, spec.trials_per_cell, chunk))
+    tasks = ([cell.config(spec.epsilon, spec.record_trajectory)
+              for cell in spec.grid for _ in range(per_cell)],
+             itertools.repeat(spec.base_seed),
+             [streams[i:i + chunk] for streams in _cell_streams(spec)
+              for i in range(0, len(streams), chunk)])
     if parallel:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_trial, tasks, chunksize=8))
+            chunks = list(pool.map(_trial_columns, *tasks))
     else:
-        rows = [_execute_trial(task) for task in tasks]
-    summaries = []
-    for ci, cell in enumerate(spec.grid):
-        summaries.append(_summarize_cell(cell, rows[ci * trials:(ci + 1) * trials]))
-    summary = SummaryStats(cells=tuple(summaries))
-    blob = (_render_csv(rows) if spec.format == "csv"
-            else _render_json(rows, summary))
+        chunks = list(map(_trial_columns, *tasks))
+    # each cell's chunks joined in stream order
+    tables = [{name: [v for part in chunks[i:i + per_cell] for v in part[name]]
+               for name in chunks[i]}
+              for i in range(0, len(chunks), per_cell)]
+    summary = SummaryStats(cells=tuple(
+        _summarize_cell(cell, columns)
+        for cell, columns in zip(spec.grid, tables)))
+    blob = (_render_csv(spec, tables) if spec.format == "csv"
+            else _render_json(spec, tables, summary))
     _atomic_write(spec.output_path, blob)
     return summary
 
@@ -648,24 +710,38 @@ def check_domination(trials: int = 500, N: int = 2 ** 16) -> CheckResult:
 
 
 def check_determinism() -> CheckResult:
-    """Identical specs give byte-identical files, serial or parallel."""
+    """Identical specs give byte-identical files, serial or parallel: a CSV
+    spec run twice serially and once in a pool, and a JSON spec with
+    trajectories, whose cells span several pool chunks, run serially and in
+    a pool."""
     t0 = time.perf_counter()
     base = tempfile.mkdtemp(prefix="gossipsim-verify-")
+    # format -> (grid, trials per cell, the workers of each run)
+    runs = {
+        "csv": ((GridCell(Algorithm.NAIVE, 1024, 0.5),
+                 GridCell(Algorithm.CYCLIC, 1024, 0.5)), 5, (None, None, 2)),
+        "json": ((GridCell(Algorithm.IMPROVED_CYCLIC, 1024, 0.5),
+                  GridCell(Algorithm.ORACLE, 1024, 0.5)),
+                 _POOL_CHUNK + 3, (None, 2)),
+    }
     try:
-        blobs = []
-        for tag, workers in (("a", None), ("b", None), ("par", 2)):
-            path = os.path.join(base, f"{tag}.csv")
-            spec = ExperimentSpec(
-                grid=(GridCell(Algorithm.NAIVE, 1024, 0.5),
-                      GridCell(Algorithm.CYCLIC, 1024, 0.5)),
-                trials_per_cell=5, base_seed=77, record_trajectory=False,
-                epsilon=0.1, output_path=path, format="csv")
-            run_experiment(spec, workers=workers)
-            with open(path, "rb") as fh:
-                blobs.append(fh.read())
-        ok = blobs[0] == blobs[1] == blobs[2]
+        mismatched = []
+        for fmt, (grid, trials, workers_each) in runs.items():
+            blobs = set()
+            for i, workers in enumerate(workers_each):
+                path = os.path.join(base, f"{i}.{fmt}")
+                run_experiment(ExperimentSpec(
+                    grid=grid, trials_per_cell=trials, base_seed=77,
+                    record_trajectory=fmt == "json", epsilon=0.1,
+                    output_path=path, format=fmt), workers=workers)
+                with open(path, "rb") as fh:
+                    blobs.add(fh.read())
+            if len(blobs) > 1:
+                mismatched.append(fmt.upper())
+        ok = not mismatched
         return _timed("byte-identical reruns (serial and parallel)", ok,
-                      "identical CSVs" if ok else "byte mismatch between runs",
+                      "identical CSVs and JSONs" if ok else
+                      f"byte mismatch between {' and '.join(mismatched)} runs",
                       t0)
     finally:
         shutil.rmtree(base, ignore_errors=True)

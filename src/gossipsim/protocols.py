@@ -360,20 +360,21 @@ def _run_oracle(N: int, n: int, cap: int, make_gen) -> List[int]:
     return counts
 
 
+_STAGES = ("t_eps", "t_one_minus_eps")  # the names of stage_levels' times
+
+
 def _trace(config: ProtocolConfig, n: int, counts: List[int],
            phase1_end: Optional[int]) -> TraceResult:
     """The per-trial record of a run from its informed count after each
     step (counts[0] = 1, nondecreasing).
 
     The run ends at the last step, complete when the count reached n. A
-    stage threshold, epsilon*p*N or (1-epsilon)*p*N, is passed at the
-    first step whose count reaches it; a run may end before it does (the
-    active count is random), and its time is then None.
+    stage threshold, epsilon*p*N or (1-epsilon)*p*N (config.stage_levels),
+    is passed at the first step whose count reaches it; a run may end
+    before it does (the active count is random), and its time is then None.
     """
-    levels = {"t_eps": config.epsilon * config.p * config.N,
-              "t_one_minus_eps": (1.0 - config.epsilon) * config.p * config.N}
     thresholds = {}
-    for name, level in levels.items():
+    for name, level in zip(_STAGES, config.stage_levels):
         t = bisect_left(counts, level)
         thresholds[name] = t if t < len(counts) else None
     return TraceResult(config, n, len(counts) - 1, counts[-1] < n, phase1_end,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -205,6 +206,38 @@ class TestProtocolConfig:
         cfg = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC, N=64, p=0.5,
                              max_steps=123)
         assert cfg.step_cap == 123
+
+    @staticmethod
+    def derived(cfg):
+        return (cfg.step_cap, cfg.phase1_steps, cfg.segment_length,
+                cfg.stage_levels)
+
+    def test_derived_constants_kept_outside_the_fields(self):
+        # a config keeps its derived constants once read, yet it equals,
+        # hashes and pickles like an equal config that never read them
+        read = ProtocolConfig(Algorithm.CYCLIC, 2 ** 10, 0.5)
+        constants = self.derived(read)
+        unread = ProtocolConfig(Algorithm.CYCLIC, 2 ** 10, 0.5)
+        assert read == unread and hash(read) == hash(unread)
+        for cfg in (read, unread):
+            back = pickle.loads(pickle.dumps(cfg))
+            assert back == read and hash(back) == hash(read)
+            assert self.derived(back) == constants
+        assert constants == (1095, 22, 3, (0.1 * 0.5 * 2 ** 10,
+                                           (1.0 - 0.1) * 0.5 * 2 ** 10))
+
+    def test_replace_derives_anew(self):
+        cfg = ProtocolConfig(Algorithm.IMPROVED_CYCLIC, 2 ** 10, 0.5)
+        self.derived(cfg)
+        big = dataclasses.replace(cfg, N=2 ** 20)
+        assert big.step_cap == math.ceil(64 * math.log(2 ** 20)
+                                         / math.log(1.5)) == 2189
+        assert big.phase1_steps == 41 and big.segment_length == 4
+        assert big.stage_levels == (0.1 * 0.5 * 2 ** 20,
+                                    (1.0 - 0.1) * 0.5 * 2 ** 20)
+        assert self.derived(big) == self.derived(
+            ProtocolConfig(Algorithm.IMPROVED_CYCLIC, 2 ** 20, 0.5))
+        assert dataclasses.replace(cfg, max_steps=7).step_cap == 7
 
     @pytest.mark.parametrize("kwargs", [
         {"N": 0}, {"N": -4},

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -123,14 +124,27 @@ class TestRunExperiment:
         run_experiment(ExperimentSpec.from_dict(spec_dict(out_b)))
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    @pytest.mark.parametrize("fmt,trajectory,trials", [
+        ("csv", False, 6),
+        # cells of several pool chunks, the last one short
+        ("json", True, 2 * harness._POOL_CHUNK + 5),
+    ], ids=["csv", "json-trajectories"])
+    def test_parallel_matches_serial(self, tmp_path, fmt, trajectory, trials):
+        out_a, out_b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
         grid = [{"algorithm": "naive", "N": 512, "p": 0.5},
-                {"algorithm": "oracle", "N": 512, "p": 0.5}]
-        run_experiment(ExperimentSpec.from_dict(spec_dict(out_a, grid=grid)))
-        run_experiment(ExperimentSpec.from_dict(spec_dict(out_b, grid=grid)),
-                       workers=3)
+                {"algorithm": "oracle", "N": 512, "p": 0.5},
+                {"algorithm": "cyclic", "N": 64, "p": 0.3}]
+        spec = spec_dict(out_a, grid=grid, format=fmt, trials_per_cell=trials,
+                         record_trajectory=trajectory)
+        serial = run_experiment(ExperimentSpec.from_dict(spec))
+        spec["output_path"] = str(out_b)
+        pooled = run_experiment(ExperimentSpec.from_dict(spec), workers=3)
+        assert pooled == serial
         assert out_a.read_bytes() == out_b.read_bytes()
+        if fmt == "json":
+            rows = json.loads(out_b.read_text())["rows"]
+            assert [r["stream_id"] for r in rows] == list(range(3 * trials))
+            assert all("trajectory" in r for r in rows)
 
     def test_each_block_of_streams_seeded_once(self, tmp_path):
         # 1,000 trials read streams 0-999 of one base seed: four blocks of
@@ -227,6 +241,48 @@ class TestRunExperiment:
         data = spec_dict(tmp_path / "no" / "such" / "dir" / "out.csv")
         with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec.from_dict(data))
+
+
+class TestPinnedRunOutputs:
+    """The bytes `run` writes, pinned to digests: the CSV, the JSON and the
+    summary of one spec. Its first cell is cyclic at N = 2^16, p = 0.3,
+    whose stream 1 on this seed hits the step cap; then every algorithm at
+    N in {1, 2, 8, 1000} and p in {0.3, 1.0}, trajectories on. The digests
+    were recorded on the code that built one row dict per trial."""
+
+    SEED = (902 << 20) | 26
+    GRID = ([{"algorithm": "cyclic", "N": 2 ** 16, "p": 0.3}]
+            + [{"algorithm": alg.value, "N": N, "p": p} for alg in Algorithm
+               for N in (1, 2, 8, 1000) for p in (0.3, 1.0)])
+    CSV_DIGEST = ("68cc567bfa689fbabc6bbda84b7bd85ec24fbae55f3828f4"
+                  "3b835e536fdb1a7f")
+    JSON_DIGEST = ("d1ceb8b8396a23a5286d3dd52fcb03fff65257eb9790d9b2"
+                   "6340f43637baf0e9")
+    SUMMARY_DIGEST = ("a3efe617824d355a2921f9c4d8b042f38bedec8f3a00b83f"
+                      "9053b8254f9c2654")
+
+    @staticmethod
+    def sha(blob: bytes) -> str:
+        return hashlib.sha256(blob).hexdigest()
+
+    def run_format(self, tmp_path, fmt):
+        out = tmp_path / f"out.{fmt}"
+        summary = run_experiment(ExperimentSpec.from_dict(spec_dict(
+            out, grid=self.GRID, trials_per_cell=3, base_seed=self.SEED,
+            record_trajectory=True, format=fmt)))
+        return out.read_bytes(), summary
+
+    def test_digests(self, tmp_path):
+        csv_blob, summary = self.run_format(tmp_path, "csv")
+        json_blob, json_summary = self.run_format(tmp_path, "json")
+        assert json_summary == summary
+        cap = summary.cells[0]
+        assert cap.cap_hits == 1 and b",true\n" in csv_blob
+        text = json.dumps(summary.as_dict(), sort_keys=True,
+                          separators=(",", ":"))
+        assert self.sha(csv_blob) == self.CSV_DIGEST
+        assert self.sha(json_blob) == self.JSON_DIGEST
+        assert self.sha(text.encode()) == self.SUMMARY_DIGEST
 
 
 class TestConvergenceSweep:
