@@ -1,8 +1,5 @@
-"""Command-line front end.
-
-Subcommands: run (execute a JSON experiment spec), sweep (N-ladder
-convergence table), theory (constants table over p), verify (quick/full
-check suite), oracle-law (exact completion-time law dump).
+"""Command-line front end: one subcommand per _add_* function, each naming
+its _cmd_* handler; `gossipsim --help` lists them.
 Exit codes: 0 success, 1 check failure, 2 invalid configuration.
 """
 from __future__ import annotations
@@ -11,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from .core import Algorithm, ConfigError
@@ -22,6 +20,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("spec", help="path to the experiment spec (JSON)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: serial)")
+    p.set_defaults(handler=_cmd_run)
 
 
 def _add_sweep(sub: argparse._SubParsersAction) -> None:
@@ -34,6 +33,7 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=harness.ACCEPTANCE_SEED)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    p.set_defaults(handler=_cmd_sweep)
 
 
 def _add_theory(sub: argparse._SubParsersAction) -> None:
@@ -41,11 +41,13 @@ def _add_theory(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--p", type=float, nargs="*", default=None,
                    help="explicit p values (default: 0.05..0.95 grid)")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_theory)
 
 
 def _add_verify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("verify", help="run the statistical verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.set_defaults(handler=_cmd_verify)
 
 
 def _add_oracle_law(sub: argparse._SubParsersAction) -> None:
@@ -54,6 +56,7 @@ def _add_oracle_law(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_oracle_law)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,9 +93,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = harness.convergence_sweep((algorithm,), args.p, args.N, args.trials,
                                      args.seed)[algorithm]
     if args.json:
-        payload = [{"N": r.N, "mean_normalized": r.mean_normalized,
-                    "ratio": r.ratio, "ratio_se": r.ratio_se} for r in rows]
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps([asdict(r) for r in rows], sort_keys=True))
         return 0
     c = theory.constant(algorithm, args.p)
     print(f"{algorithm.value}, p={args.p}, C(p)={c:.6f}, "
@@ -155,20 +156,11 @@ def _cmd_oracle_law(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "theory": _cmd_theory,
-    "verify": _cmd_verify,
-    "oracle-law": _cmd_oracle_law,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -91,15 +91,22 @@ class GridCell:
                               epsilon=epsilon, record_trajectory=record)
 
 
-_SPEC_KEYS = {"grid", "trials_per_cell", "base_seed", "record_trajectory",
-              "epsilon", "output_path", "format"}
-_CELL_KEYS = {"algorithm", "N", "p"}
+# the type of each spec key besides the grid, and of each grid cell key, in
+# the order from_dict reads them: every cell first, then the spec's keys
+_SPEC_TYPES = {"trials_per_cell": int, "base_seed": int,
+               "record_trajectory": bool, "epsilon": float,
+               "output_path": str, "format": str}
+_CELL_TYPES = {"algorithm": str, "N": int, "p": float}
+# strings read further as soon as they are checked, so a cell's unknown
+# algorithm is reported before a bad N or p
+_SPEC_PARSERS = {"algorithm": Algorithm.parse, "format": str.lower}
 
 
 def _spec_value(data: dict, key: str, kind: type):
-    """data[key] converted by kind; ConfigError unless it has kind's JSON
-    type: a bool or a string as it is, a float any number but a bool, an
-    int an integral number but a bool."""
+    """data[key] converted by kind, or parsed by its _SPEC_PARSERS entry;
+    ConfigError unless it has kind's JSON type: a bool or a string as it
+    is, a float any number but a bool, an int an integral number but a
+    bool."""
     value = data[key]
     if kind in (bool, str):
         valid = isinstance(value, kind)
@@ -109,7 +116,7 @@ def _spec_value(data: dict, key: str, kind: type):
                       or value.is_integer()))
     if valid:
         try:
-            return kind(value)
+            return _SPEC_PARSERS.get(key, kind)(value)
         except OverflowError:  # an int too large for a float
             pass
     raise ConfigError(f"spec value {key}={value!r} is not a valid "
@@ -131,20 +138,26 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("grid must be nonempty")
-        _positive_int(self.trials_per_cell, "trials_per_cell")
-        _uint64(self.base_seed, "base_seed")
+        # integers are kept as the plain ints the checks return, so a spec
+        # built with numpy integers renders as JSON
+        object.__setattr__(self, "trials_per_cell", _positive_int(
+            self.trials_per_cell, "trials_per_cell"))
+        object.__setattr__(self, "base_seed", _uint64(self.base_seed,
+                                                      "base_seed"))
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         for cell in self.grid:
             cell.config(self.epsilon, False)  # validates each cell
+        object.__setattr__(self, "grid", tuple(
+            GridCell(cell.algorithm, int(cell.N), cell.p) for cell in self.grid))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         if not isinstance(data, dict):
             raise ConfigError("experiment spec must be a JSON object")
-        keys = set(data)
-        if keys != _SPEC_KEYS:
-            missing, extra = _SPEC_KEYS - keys, keys - _SPEC_KEYS
+        keys, expected = set(data), {"grid", *_SPEC_TYPES}
+        if keys != expected:
+            missing, extra = expected - keys, keys - expected
             raise ConfigError(f"spec keys mismatch: missing={sorted(missing)} "
                               f"unknown={sorted(extra)}")
         raw_grid = data["grid"]
@@ -152,21 +165,13 @@ class ExperimentSpec:
             raise ConfigError("grid must be a nonempty list")
         cells = []
         for entry in raw_grid:
-            if not isinstance(entry, dict) or set(entry) != _CELL_KEYS:
+            if not isinstance(entry, dict) or set(entry) != set(_CELL_TYPES):
                 raise ConfigError(f"grid cell must have keys exactly "
-                                  f"{sorted(_CELL_KEYS)}, got {entry!r}")
-            cells.append(GridCell(
-                algorithm=Algorithm.parse(_spec_value(entry, "algorithm", str)),
-                N=_spec_value(entry, "N", int), p=_spec_value(entry, "p", float)))
-        return cls(
-            grid=tuple(cells),
-            trials_per_cell=_spec_value(data, "trials_per_cell", int),
-            base_seed=_spec_value(data, "base_seed", int),
-            record_trajectory=_spec_value(data, "record_trajectory", bool),
-            epsilon=_spec_value(data, "epsilon", float),
-            output_path=_spec_value(data, "output_path", str),
-            format=_spec_value(data, "format", str).lower(),
-        )
+                                  f"{sorted(_CELL_TYPES)}, got {entry!r}")
+            cells.append(GridCell(**{key: _spec_value(entry, key, kind)
+                                     for key, kind in _CELL_TYPES.items()}))
+        return cls(grid=tuple(cells), **{key: _spec_value(data, key, kind)
+                                         for key, kind in _SPEC_TYPES.items()})
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentSpec":
@@ -182,8 +187,7 @@ class ExperimentSpec:
 
 # the CSV_COLUMNS a trial's run sets; trial_id and stream_id follow from
 # its cell and stream, and algorithm, N, p and seed from its cell
-_TRIAL_FIELDS = ("n_active", "phase1_end", "t_eps", "t_one_minus_eps",
-                 "T_n", "cap_hit")
+_TRIAL_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("stream_id") + 1:]
 _POOL_CHUNK = 16  # streams per task in the --workers pool
 
 
@@ -274,20 +278,10 @@ def _summarize_cell(cell: GridCell, columns: Dict[str, tuple]) -> CellSummary:
     )
 
 
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_text(column: Sequence) -> List[str]:
-    """_csv_value of each entry of a trial column, without its type tests:
-    a column holds bools, or ints and None (a cell's float, p, is written
-    in its prefix)."""
+    """The CSV text of each entry of a trial column: true or false for a
+    bool, empty for None, str otherwise. A column holds bools, or ints and
+    None, so its first entry's type decides."""
     if isinstance(column[0], bool):
         return ["true" if v else "false" for v in column]
     return ["" if v is None else str(v) for v in column]
@@ -313,8 +307,7 @@ def _render_csv(spec: ExperimentSpec, tables: Sequence[Dict[str, Sequence]]
     lines are joined as csv.writer would write them, without quotes."""
     lines = [",".join(CSV_COLUMNS)]
     for cell, streams, columns in zip(spec.grid, _cell_streams(spec), tables):
-        prefix = ",".join(map(_csv_value,
-                              _cell_constants(cell, spec).values()))
+        prefix = ",".join(map(str, _cell_constants(cell, spec).values()))
         fields = zip(*(_csv_text(columns[name]) for name in _TRIAL_FIELDS))
         lines.extend(f"{ti},{prefix},{stream},{','.join(values)}"
                      for ti, (stream, values)

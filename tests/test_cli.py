@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -201,3 +202,33 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestPinnedCliOutputs:
+    """The stdout and exit code of sweep, theory and oracle-law, each as
+    JSON and as a table, pinned to sha256 digests. The digests were
+    recorded on the code that mapped subcommand names to handlers in a
+    table and built sweep's JSON rows field by field."""
+
+    SWEEP = ["sweep", "--algorithm", "cyclic", "--p", "0.4", "--N", "64",
+             "1024", "--trials", "12", "--seed", "77"]
+    ORACLE_LAW = ["oracle-law", "--N", "8", "--p", "0.5"]
+
+    @pytest.mark.parametrize("argv,digest", [
+        (SWEEP + ["--json"], "e0b230cfa705bf99300118d3623ddbb7"
+                             "5493a62a7b4c9405fcf717fdbb859fe6"),
+        (SWEEP, "1c8fd839e1ec9ce2d15ab682deeec649"
+                "a2398cac6d96b7ebc5af20c3903c3e1c"),
+        (["theory", "--json"], "3300615fbbf7fa766262d732d5380332"
+                               "c39a9c08f5edd3dffcccbfe2e12b57d3"),
+        (["theory", "--p", "0.3", "1.0"], "6a37fd11515a6aca8b287bea5485bda4"
+                                          "43b81d062f6d79bb053e1b10d9ff5669"),
+        (ORACLE_LAW + ["--json"], "ab0ebae341ac6bd9dba99bf7fb79abe4"
+                                  "ef1377c29c81e1418d7831dd38ca4951"),
+        (ORACLE_LAW, "2c1f9a7dc6e7e4708d56587494d074f6"
+                     "c5e006972c2cef83979442f22cbded11"),
+    ])
+    def test_digest(self, capsys, argv, digest):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

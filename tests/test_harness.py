@@ -18,7 +18,7 @@ from gossipsim.harness import (
     run_experiment,
     verify_suite,
 )
-from gossipsim.protocols import run_coupled
+from gossipsim.protocols import run, run_coupled
 from gossipsim.theory import (ExactLaw, constant, exact_naive_law,
                               exact_oracle_law)
 
@@ -241,6 +241,46 @@ class TestRunExperiment:
         data = spec_dict(tmp_path / "no" / "such" / "dir" / "out.csv")
         with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec.from_dict(data))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_values_write_the_plain_bytes(self, tmp_path, fmt):
+        # a spec built in Python may hold numpy numbers; its integers are
+        # kept as plain ints, and it writes what the plain spec writes
+        grid = [{"algorithm": "naive", "N": 8, "p": 0.5},
+                {"algorithm": "cyclic", "N": 64, "p": 0.3}]
+        plain = ExperimentSpec.from_dict(spec_dict(
+            tmp_path / f"a.{fmt}", grid=grid, trials_per_cell=3, format=fmt,
+            record_trajectory=True))
+        numeric = dataclasses.replace(
+            plain, output_path=str(tmp_path / f"b.{fmt}"),
+            trials_per_cell=np.int64(3), base_seed=np.uint64(plain.base_seed),
+            grid=tuple(GridCell(c.algorithm, np.int64(c.N), np.float64(c.p))
+                       for c in plain.grid))
+        assert type(numeric.base_seed) is int
+        assert type(numeric.trials_per_cell) is int
+        assert all(type(c.N) is int for c in numeric.grid)
+        summaries = [run_experiment(spec) for spec in (plain, numeric)]
+        texts = [json.dumps(s.as_dict(), sort_keys=True) for s in summaries]
+        assert summaries[0] == summaries[1] and texts[0] == texts[1]
+        assert ((tmp_path / f"a.{fmt}").read_bytes()
+                == (tmp_path / f"b.{fmt}").read_bytes())
+
+    def test_trials_run_through_module_global(self, tmp_path, monkeypatch):
+        # per-layer tracing wraps harness.run and divides by its call count;
+        # a local binding would bypass the wrapper
+        calls = []
+
+        def counting(config, stream):
+            calls.append((config.algorithm, stream.stream_id))
+            return run(config, stream)
+
+        monkeypatch.setattr(harness, "run", counting)
+        grid = [{"algorithm": "naive", "N": 8, "p": 0.5},
+                {"algorithm": "oracle", "N": 2, "p": 0.5}]
+        run_experiment(ExperimentSpec.from_dict(spec_dict(
+            tmp_path / "a.csv", grid=grid, trials_per_cell=5)))
+        assert calls == ([(Algorithm.NAIVE, s) for s in range(5)]
+                         + [(Algorithm.ORACLE, s) for s in range(5, 10)])
 
 
 class TestPinnedRunOutputs:
