@@ -228,9 +228,11 @@ class ProtocolConfig:
         if not isinstance(self.algorithm, Algorithm):
             raise ConfigError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
         _positive_int(self.N, "N")
-        _probability(self.p)
+        # kept as Python floats: a float32 p would give float32 stage levels
+        object.__setattr__(self, "p", _probability(self.p))
         if not (_is_real(self.epsilon) and 0.0 < self.epsilon < 0.5):
             raise ConfigError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.max_steps is not None:
             _positive_int(self.max_steps, "max_steps")
 

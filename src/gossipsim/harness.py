@@ -138,8 +138,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("grid must be nonempty")
-        # integers are kept as the plain ints the checks return, so a spec
-        # built with numpy integers renders as JSON
+        # numbers are kept as the plain ints and floats the checks return, so
+        # a numpy-built spec renders as JSON and writes the p its trials use
         object.__setattr__(self, "trials_per_cell", _positive_int(
             self.trials_per_cell, "trials_per_cell"))
         object.__setattr__(self, "base_seed", _uint64(self.base_seed,
@@ -149,7 +149,7 @@ class ExperimentSpec:
         for cell in self.grid:
             cell.config(self.epsilon, False)  # validates each cell
         object.__setattr__(self, "grid", tuple(
-            GridCell(cell.algorithm, int(cell.N), cell.p) for cell in self.grid))
+            GridCell(c.algorithm, int(c.N), float(c.p)) for c in self.grid))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -188,26 +188,18 @@ class ExperimentSpec:
 # the CSV_COLUMNS a trial's run sets; trial_id and stream_id follow from
 # its cell and stream, and algorithm, N, p and seed from its cell
 _TRIAL_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("stream_id") + 1:]
-_POOL_CHUNK = 16  # streams per task in the --workers pool
+_POOL_CHUNK = 16  # trials per message in the --workers pool
 
 
-def _trial_columns(config: ProtocolConfig, seed: int,
-                   streams: range) -> Dict[str, tuple]:
-    """Run config once on each of the streams under seed; the results as
-    columns in stream order: one per _TRIAL_FIELDS field, and the
-    trajectories under "trajectory" when the config records them. A trial
-    leaves one tuple of its fields, not its TraceResult, so the cell holds
-    few objects for the garbage collector to track."""
-    rows = []
-    for s in streams:
-        r = run(config, RngStream(seed=seed, stream_id=s))
-        rows.append((r.n_active, r.phase1_end, r.threshold_times["t_eps"],
-                     r.threshold_times["t_one_minus_eps"], r.completion_time,
-                     r.cap_hit, r.trajectory))
-    # zip stops at the names, so an unrecorded trajectory gets no column
-    names = _TRIAL_FIELDS + (("trajectory",) if config.record_trajectory
-                             else ())
-    return dict(zip(names, zip(*rows)))
+def _trial(config: ProtocolConfig, seed: int, stream: int) -> tuple:
+    """Run config on one stream under seed: the trial's _TRIAL_FIELDS
+    values, then its trajectory. A trial leaves this tuple, not its
+    TraceResult, so a cell holds few objects for the garbage collector to
+    track."""
+    r = run(config, RngStream(seed=seed, stream_id=stream))
+    return (r.n_active, r.phase1_end, r.threshold_times["t_eps"],
+            r.threshold_times["t_one_minus_eps"], r.completion_time,
+            r.cap_hit, r.trajectory)
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,7 @@ def _summarize_cell(cell: GridCell, columns: Dict[str, tuple]) -> CellSummary:
         q5=q5, q50=q50, q95=q95,
         mean_normalized=normalized,
         theory_constant=c_theory,
-        ratio=normalized / c_theory if c_theory > 0 else 0.0,
+        ratio=normalized / c_theory,
         stage_means=stage_means,
     )
 
@@ -351,31 +343,31 @@ def run_experiment(spec: ExperimentSpec,
                    workers: Optional[int] = None) -> SummaryStats:
     """Execute every cell of the spec and persist one raw row per trial.
 
-    Each cell's trials are kept as columns, which _trial_columns fills in
-    one call per cell; with workers > 1 a process pool fills them
-    _POOL_CHUNK streams at a time, and the chunks are joined in stream
-    order, so the persisted bytes do not depend on scheduling. The
-    summaries and the rows are built from the columns. Nothing is written
-    if any trial fails.
+    _trial runs each trial, in stream order: mapped serially, or with
+    workers > 1 by a process pool that sends _POOL_CHUNK trials per
+    message and returns them in order, so the persisted bytes do not
+    depend on scheduling. Each cell's slice of the rows, transposed, is
+    its columns, from which the summaries and the rows are built. Nothing
+    is written if any trial fails.
     """
-    parallel = workers is not None and _positive_int(workers, "workers") > 1
-    # serially one chunk per cell, in the pool _POOL_CHUNK streams a chunk
-    chunk = _POOL_CHUNK if parallel else spec.trials_per_cell
-    per_cell = len(range(0, spec.trials_per_cell, chunk))
-    tasks = ([cell.config(spec.epsilon, spec.record_trajectory)
-              for cell in spec.grid for _ in range(per_cell)],
-             itertools.repeat(spec.base_seed),
-             [streams[i:i + chunk] for streams in _cell_streams(spec)
-              for i in range(0, len(streams), chunk)])
-    if parallel:
+    configs = [cell.config(spec.epsilon, spec.record_trajectory)
+               for cell in spec.grid]
+    cells = _cell_streams(spec)
+    tasks = (itertools.chain.from_iterable(map(itertools.repeat, configs,
+                                               map(len, cells))),
+             itertools.repeat(spec.base_seed), itertools.chain(*cells))
+    if workers is not None and _positive_int(workers, "workers") > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_trial_columns, *tasks))
+            rows = list(pool.map(_trial, *tasks, chunksize=_POOL_CHUNK))
     else:
-        chunks = list(map(_trial_columns, *tasks))
-    # each cell's chunks joined in stream order
-    tables = [{name: [v for part in chunks[i:i + per_cell] for v in part[name]]
-               for name in chunks[i]}
-              for i in range(0, len(chunks), per_cell)]
+        rows = list(map(_trial, *tasks))
+    # row i ran stream i; zip stops at the names, so an unrecorded
+    # trajectory gets no column
+    tables = []
+    for config, streams in zip(configs, cells):
+        names = _TRIAL_FIELDS + (("trajectory",) if config.record_trajectory
+                                 else ())
+        tables.append(dict(zip(names, zip(*rows[streams.start:streams.stop]))))
     summary = SummaryStats(cells=tuple(
         _summarize_cell(cell, columns)
         for cell, columns in zip(spec.grid, tables)))

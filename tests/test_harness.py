@@ -244,21 +244,27 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_numpy_values_write_the_plain_bytes(self, tmp_path, fmt):
-        # a spec built in Python may hold numpy numbers; its integers are
-        # kept as plain ints, and it writes what the plain spec writes
+        # a spec built in Python may hold numpy numbers; they are kept as
+        # plain ints and floats, and it writes what the plain spec writes.
+        # The last cell's p is a float32, which the plain spec holds as the
+        # float it equals
         grid = [{"algorithm": "naive", "N": 8, "p": 0.5},
-                {"algorithm": "cyclic", "N": 64, "p": 0.3}]
+                {"algorithm": "cyclic", "N": 64, "p": 0.3},
+                {"algorithm": "naive", "N": 1000, "p": float(np.float32(0.3))}]
         plain = ExperimentSpec.from_dict(spec_dict(
             tmp_path / f"a.{fmt}", grid=grid, trials_per_cell=3, format=fmt,
             record_trajectory=True))
         numeric = dataclasses.replace(
             plain, output_path=str(tmp_path / f"b.{fmt}"),
             trials_per_cell=np.int64(3), base_seed=np.uint64(plain.base_seed),
-            grid=tuple(GridCell(c.algorithm, np.int64(c.N), np.float64(c.p))
-                       for c in plain.grid))
+            grid=tuple(GridCell(c.algorithm, np.int64(c.N), real(c.p))
+                       for c, real in zip(plain.grid, (np.float64, np.float64,
+                                                       np.float32))))
         assert type(numeric.base_seed) is int
         assert type(numeric.trials_per_cell) is int
-        assert all(type(c.N) is int for c in numeric.grid)
+        assert all(type(c.N) is int and type(c.p) is float
+                   for c in numeric.grid)
+        assert numeric.grid == plain.grid
         summaries = [run_experiment(spec) for spec in (plain, numeric)]
         texts = [json.dumps(s.as_dict(), sort_keys=True) for s in summaries]
         assert summaries[0] == summaries[1] and texts[0] == texts[1]
