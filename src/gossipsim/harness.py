@@ -279,11 +279,9 @@ def _csv_text(column: Sequence) -> List[str]:
     return ["" if v is None else str(v) for v in column]
 
 
-def _cell_streams(spec: ExperimentSpec) -> List[range]:
+def _cell_streams(cells: int, trials: int) -> List[range]:
     """Each cell's streams: trial ti of cell ci runs stream ci*trials + ti."""
-    trials = spec.trials_per_cell
-    return [range(ci * trials, (ci + 1) * trials)
-            for ci in range(len(spec.grid))]
+    return [range(ci * trials, (ci + 1) * trials) for ci in range(cells)]
 
 
 def _cell_constants(cell: GridCell, spec: ExperimentSpec) -> dict:
@@ -292,13 +290,13 @@ def _cell_constants(cell: GridCell, spec: ExperimentSpec) -> dict:
             "seed": spec.base_seed}
 
 
-def _render_csv(spec: ExperimentSpec, tables: Sequence[Dict[str, Sequence]]
-                ) -> bytes:
+def _render_csv(spec: ExperimentSpec, cells: Sequence[range],
+                tables: Sequence[Dict[str, Sequence]]) -> bytes:
     """One line per trial, in cell and stream order. No value holds a comma,
     a quote or a line break (numbers, true/false, algorithm names), so the
     lines are joined as csv.writer would write them, without quotes."""
     lines = [",".join(CSV_COLUMNS)]
-    for cell, streams, columns in zip(spec.grid, _cell_streams(spec), tables):
+    for cell, streams, columns in zip(spec.grid, cells, tables):
         prefix = ",".join(map(str, _cell_constants(cell, spec).values()))
         fields = zip(*(_csv_text(columns[name]) for name in _TRIAL_FIELDS))
         lines.extend(f"{ti},{prefix},{stream},{','.join(values)}"
@@ -308,11 +306,12 @@ def _render_csv(spec: ExperimentSpec, tables: Sequence[Dict[str, Sequence]]
     return "\n".join(lines).encode("utf-8")
 
 
-def _render_json(spec: ExperimentSpec, tables: Sequence[Dict[str, Sequence]],
+def _render_json(spec: ExperimentSpec, cells: Sequence[range],
+                 tables: Sequence[Dict[str, Sequence]],
                  summary: SummaryStats) -> bytes:
     """The rows, as dicts built here from the columns, and the summary."""
     rows = []
-    for cell, streams, columns in zip(spec.grid, _cell_streams(spec), tables):
+    for cell, streams, columns in zip(spec.grid, cells, tables):
         shared = _cell_constants(cell, spec)
         names = tuple(columns)
         for ti, (stream, values) in enumerate(zip(
@@ -352,7 +351,7 @@ def run_experiment(spec: ExperimentSpec,
     """
     configs = [cell.config(spec.epsilon, spec.record_trajectory)
                for cell in spec.grid]
-    cells = _cell_streams(spec)
+    cells = _cell_streams(len(spec.grid), spec.trials_per_cell)
     tasks = (itertools.chain.from_iterable(map(itertools.repeat, configs,
                                                map(len, cells))),
              itertools.repeat(spec.base_seed), itertools.chain(*cells))
@@ -371,8 +370,8 @@ def run_experiment(spec: ExperimentSpec,
     summary = SummaryStats(cells=tuple(
         _summarize_cell(cell, columns)
         for cell, columns in zip(spec.grid, tables)))
-    blob = (_render_csv(spec, tables) if spec.format == "csv"
-            else _render_json(spec, tables, summary))
+    blob = (_render_csv(spec, cells, tables) if spec.format == "csv"
+            else _render_json(spec, cells, tables, summary))
     _atomic_write(spec.output_path, blob)
     return summary
 
@@ -392,9 +391,9 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
     """Normalized completion means over an increasing N ladder.
 
     Used to check that mean(T_n)/ln N approaches the theory constant as N
-    grows. Trial ti at rung ci runs every algorithm, coupled, on stream
-    ci*trials + ti. Returns per algorithm one row per N with the ratio to
-    C(p) and its standard error.
+    grows. Each rung is a cell of _cell_streams, whose trials run every
+    algorithm coupled. Returns per algorithm one row per N with the ratio
+    to C(p) and its standard error.
     """
     if not algorithms:
         raise ConfigError("no algorithms to sweep")
@@ -407,8 +406,9 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
                      base_seed) for N in N_list]  # every config checked first
     c_theory = [constant(alg, p) for alg in algorithms]
     out: Dict[Algorithm, List[SweepRow]] = {alg: [] for alg in algorithms}
-    for ci, (N, store) in enumerate(zip(N_list, stores)):
-        T = store.times(range(ci * trials, (ci + 1) * trials))
+    for N, store, streams in zip(N_list, stores,
+                                 _cell_streams(len(N_list), trials)):
+        T = store.times(streams)
         ln_n = math.log(N) if N > 1 else 1.0
         for alg, c in zip(algorithms, c_theory):
             ratios = T[alg] / ln_n / c

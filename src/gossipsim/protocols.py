@@ -6,7 +6,9 @@ informed; a run that hits the configured step cap reports cap_hit instead.
 
 Under equal (seed, stream_id) the three real protocols are pathwise
 coupled: identical active sets and an identical randomized warm-up
-(phase 1). run_coupled runs that warm-up once for all of them.
+(phase 1). run_coupled runs that warm-up once for all of them, and one
+phase-2 engine for both phased ones: cyclic is its one-node-segment case,
+as is improved-cyclic at N <= 9.
 """
 from __future__ import annotations
 
@@ -99,22 +101,6 @@ def _push(pending: np.ndarray, targets: _Targets, n: int, limit: int,
         counts.append(n - step_naive(pending, counts[-1], targets))
 
 
-def _cyclic_phase2_offsets(informed: np.ndarray, pending: np.ndarray):
-    """Cyclic sweeps in closed form; returns (au_positions, cover_offsets),
-    au_positions being the pending (active, uninformed) nodes.
-
-    A node x informed when phase 2 starts targets x + s at phase-2 step s,
-    and a relay informed at step s repeats its informer's targets from
-    step s + 1 on, so relays add nothing: active uninformed node y is
-    informed at step (y - pred(y)) mod N, pred(y) being its nearest
-    informed predecessor on the ring. Index -1 of the informed positions
-    wraps around the ring for nodes before the first informed one.
-    """
-    au = pending.nonzero()[0]
-    sources = informed.nonzero()[0]
-    return au, (au - sources[sources.searchsorted(au) - 1]) % len(informed)
-
-
 def _segment_counts(mask: np.ndarray, ell: int) -> np.ndarray:
     """Nodes of mask in each segment of ell consecutive positions (the last
     may be shorter): the sum of ell strided views, in the smallest unsigned
@@ -166,13 +152,18 @@ def _ring_keep(unsat: np.ndarray, late: np.ndarray,
     return keep
 
 
-def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
-                             ell: int, p: float, budget: int):
-    """Segment broadcast plus coalescing forward waves.
+def _phase2_offsets(informed: np.ndarray, pending: np.ndarray, ell: int,
+                    p: float, budget: int):
+    """Segment broadcast plus coalescing forward waves, on segments of ell
+    nodes: improved-cyclic's phase 2, and cyclic's at ell = 1.
 
     Returns (au_positions, cover_offsets): the pending (active,
     uninformed) nodes and the phase-2 step that informs each. A node not
     reached within budget may hold any cover above budget, _UNSET or not.
+
+    At ell = 1 each cover comes in closed form, before any census: pending
+    node y is informed at step (y - pred(y)) mod N, pred(y) being its
+    nearest informed predecessor on the ring.
 
     Mechanics, in phase-2 steps:
       2a. Within each segment holding g0 >= 1 informed nodes, the informed
@@ -209,9 +200,15 @@ def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
     cover. Merges can cycle only once every node is covered.
     """
     N = len(informed)
+    au = pending.nonzero()[0]
+    if ell == 1:
+        # every informed node is a good one-node segment whose wave is
+        # saturated at launch: it moves one node per step, as the node's
+        # cyclic sweep does. Index -1 of sources wraps around the ring
+        sources = informed.nonzero()[0]
+        return au, (au - sources[sources.searchsorted(au) - 1]) % N
     seeded, act, good = _segment_census(informed, pending, ell, p)
     S = len(seeded)
-    au = pending.nonzero()[0]
     # 2a schedule: a position's rank among its segment's non-informed slots
     seg = au // ell
     rank = np.zeros(len(au), dtype=np.int64)
@@ -303,11 +300,11 @@ def _improved_phase2_offsets(informed: np.ndarray, pending: np.ndarray,
     return au, cover
 
 
-def _phase2(alg: Algorithm, config: ProtocolConfig, informed: np.ndarray,
-            pending: np.ndarray, n: int, counts: List[int],
-            cap: int) -> List[int]:
-    """Phase 2 from the masks phase 1 left; counts is phase 1's informed
-    count after each step, so its last entry is k and the clock len - 1.
+def _phase2(ell: int, p: float, informed: np.ndarray, pending: np.ndarray,
+            n: int, counts: List[int], cap: int) -> List[int]:
+    """Phase 2 on segments of ell nodes from the masks phase 1 left; counts
+    is phase 1's informed count after each step, so its last entry is k and
+    the clock len - 1.
 
     The engine gives each pending node the step that informs it;
     returns the informed count after each phase-2 step up to the last cover
@@ -317,10 +314,7 @@ def _phase2(alg: Algorithm, config: ProtocolConfig, informed: np.ndarray,
     budget = cap - (len(counts) - 1)
     if k >= n or budget <= 0:
         return []
-    _, cover = (_cyclic_phase2_offsets(informed, pending)
-                if alg is Algorithm.CYCLIC else _improved_phase2_offsets(
-                    informed, pending, config.segment_length, config.p,
-                    budget))
+    _, cover = _phase2_offsets(informed, pending, ell, p, budget)
     covered = cover <= budget
     last = int(cover.max(initial=0)) if covered.all() else budget
     return (k + np.bincount(cover[covered], minlength=last + 1).cumsum()
@@ -392,7 +386,7 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     its own; the others share one phase 1 on another, push
     rounds on a pending mask run to the phased schedule (the cap for naive
     alone). Their targets come from one stream, fetched at least
-    _DRAW_BATCH at a time; what is over-drawn is never read. Each phase-2
+    _DRAW_BATCH at a time; what is over-drawn is never read. The phase-2
     engine starts from the pending mask and the informed mask phase 1
     leaves, active ^ pending, built in the active mask's place, and naive
     then keeps stepping the pending mask. A protocol generator is built at
@@ -429,7 +423,8 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
         if phased:  # in place: the active mask is not read again
             informed = np.logical_xor(active, pending, out=active)
         for alg in phased:  # a new list each, so naive's appends stay its own
-            runs[alg] = (counts + _phase2(alg, config, informed, pending, n,
+            ell = 1 if alg is Algorithm.CYCLIC else config.segment_length
+            runs[alg] = (counts + _phase2(ell, config.p, informed, pending, n,
                                           counts, cap), phase1_end)
         if naive:
             _push(pending, targets, n, cap, counts)

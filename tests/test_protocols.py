@@ -19,8 +19,7 @@ from gossipsim.core import (
 from gossipsim import protocols
 from gossipsim.protocols import (
     TraceResult,
-    _cyclic_phase2_offsets,
-    _improved_phase2_offsets,
+    _phase2_offsets,
     _segment_census,
     _trace,
     run,
@@ -298,8 +297,9 @@ def check_run_under_caps(algorithm, p, stream):
 
 
 def cyclic_offsets(active, informed):
-    """The cyclic engine on the (active, informed) masks of a network."""
-    return _cyclic_phase2_offsets(informed, active & ~informed)
+    """The phase-2 engine with cyclic's one-node segments on the (active,
+    informed) masks of a network, with a budget no cover exceeds."""
+    return _phase2_offsets(informed, active & ~informed, 1, 1.0, len(active))
 
 
 class TestCyclicPhase2:
@@ -356,7 +356,7 @@ class TestCyclicPhase2:
 def reference_phase2(active, informed, ell, p, budget):
     """Position-by-position stepping of the segment broadcast plus waves.
 
-    Same pinned semantics as _improved_phase2_offsets, written in the
+    Same pinned semantics as _phase2_offsets, written in the
     dumbest possible way: explicit per-step delivery of the intra-segment
     round-robin, and per-wave dict records advanced one step at a time.
     Positions keep their local-broadcast delivery time even if a wave
@@ -446,8 +446,7 @@ def warmed_up(N, p):
 def engine_offsets(active, informed, ell, p, budget):
     active = np.asarray(active, dtype=bool)
     informed = np.asarray(informed, dtype=bool)
-    au, cover = _improved_phase2_offsets(informed, active & ~informed, ell,
-                                         p, budget)
+    au, cover = _phase2_offsets(informed, active & ~informed, ell, p, budget)
     return {int(x): int(c) for x, c in zip(au, cover) if c <= budget}
 
 
@@ -637,26 +636,31 @@ class TestImprovedPhase2:
            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
     def test_one_node_segments_match_the_cyclic_engine(self, N, p, p_active,
                                                        p_informed, seed):
-        # with ell = 1 every wave is saturated at launch, so the census
-        # gives every cover in closed form and the engine returns before
-        # _ring_keep and the step loop, with the cyclic engine's covers
+        # with ell = 1 every wave is saturated at launch, so the engine
+        # gives the cyclic sweeps' covers in closed form, before the census,
+        # _ring_keep and the step loop
         gen = np.random.default_rng(seed)
         active = gen.random(N) < p_active
         active[0] = True
         informed = active & (gen.random(N) < p_informed)
         informed[0] = True
         pending = active & ~informed
-        au, expected = _cyclic_phase2_offsets(informed, pending)
+        _, informed_at = reference_cyclic_phase2(
+            active, informed.copy(), int(active.sum()),
+            [int(informed.sum())], cap=N)
+        au = np.flatnonzero(pending)
+        expected = informed_at[au]
         gap = int(expected.max(initial=0))  # the last cyclic cover
 
-        def no_step_loop(*args):
-            raise AssertionError("an all-saturated ring reached _ring_keep")
+        def no_census(*args):
+            raise AssertionError("one-node segments reached the census")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocols, "_ring_keep", no_step_loop)
+            mp.setattr(protocols, "_segment_census", no_census)
+            mp.setattr(protocols, "_ring_keep", no_census)
             for budget in {gap + 1, max(gap - 1, 1), max(gap // 2, 1)}:
-                got_au, cover = _improved_phase2_offsets(informed, pending,
-                                                         1, p, budget)
+                got_au, cover = _phase2_offsets(informed, pending, 1, p,
+                                                budget)
                 assert np.array_equal(got_au, au)
                 within = expected <= budget
                 assert np.array_equal(cover <= budget, within)
@@ -726,6 +730,33 @@ class TestImprovedRun:
                                           (0.5, 2)])
     def test_run_matches_reference_under_caps(self, p, stream):
         check_run_under_caps(Algorithm.IMPROVED_CYCLIC, p, stream)
+
+    def test_one_node_segments_run_as_cyclic(self):
+        # the segment length round(sqrt(ln N)) is 1 up to N = 9, where every
+        # coupled improved-cyclic trial is the cyclic one; at N = 10 (ell =
+        # 2) some trial differs. Every improved trial is reference_run's,
+        # so a wrong cover cannot hide behind both protocols at once
+        phased = (Algorithm.CYCLIC, Algorithm.IMPROVED_CYCLIC)
+        fields = ("completion_time", "cap_hit", "phase1_end",
+                  "threshold_times", "trajectory")
+        differ = 0
+        for N in range(1, 11):
+            for p in (0.1, 0.3, 0.5, 0.9, 1.0):
+                config = ProtocolConfig(algorithm=Algorithm.IMPROVED_CYCLIC,
+                                        N=N, p=p, record_trajectory=True)
+                assert config.segment_length == (1 if N <= 9 else 2)
+                for stream in range(100):
+                    rng = RngStream(seed=4242, stream_id=stream)
+                    got = run_coupled(config, phased, rng)
+                    assert got[phased[1]] == reference_run(config, rng)
+                    cyclic, improved = ([getattr(got[alg], name)
+                                         for name in fields]
+                                        for alg in phased)
+                    if N <= 9:
+                        assert cyclic == improved, (N, p, stream)
+                    else:
+                        differ += cyclic != improved
+        assert differ > 0
 
 
 class TestSegmentCensus:
