@@ -75,7 +75,8 @@ _LAW_CASES = {
     Algorithm.ORACLE: (theory.exact_oracle_law, ((8, ACCEPTANCE_SEED),
                                                  (64, ACCEPTANCE_SEED + 64))),
     Algorithm.NAIVE: (theory.exact_naive_law, ((2, ACCEPTANCE_SEED + 2),
-                                               (8, ACCEPTANCE_SEED + 8))),
+                                               (8, ACCEPTANCE_SEED + 8),
+                                               (64, ACCEPTANCE_SEED + 65))),
 }
 
 

@@ -2,14 +2,15 @@
 
 The asymptotic completion time of each protocol is C(p) * ln N with a
 protocol-specific constant C(p); these constants, an analytic comparison
-certificate, and two exact dynamic-programming laws used to validate the
-simulators live here. Everything is a pure function of its arguments.
+certificate, and the exact laws of the naive and oracle chains up to N = 64
+live here. Each law is a transition table that one evaluator steps round by
+round. Everything is a pure function of its arguments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +27,8 @@ __all__ = [
     "lower_bound_tail",
 ]
 
-_NAIVE_LAW_MAX_N = 20
+_LAW_MAX_N = 64
 _NAIVE_LAW_RESIDUAL = 1e-13  # uncompleted mass at which the naive DP stops
-_ORACLE_LAW_MAX_N = 64
 
 
 def constant(algorithm: Algorithm, p: float) -> float:
@@ -146,30 +146,24 @@ def naive_step_kernel(N: int, k: int, u: int) -> np.ndarray:
     return probs
 
 
-def _completion_cdf(states: Dict[Hashable, float],
-                    step: Callable[[Hashable], List[Tuple[Hashable, float]]],
-                    done: Callable[[Hashable], float],
-                    residual: Optional[float] = None) -> List[float]:
-    """P(T <= t) for t = 0, 1, ... of a Markov chain on finitely many states.
+def _completion_cdf(mass: np.ndarray, moves: List[Tuple[int, int, float]],
+                    done: np.ndarray, residual: float = 0.0) -> List[float]:
+    """P(T <= t) for t = 0, 1, ... of a Markov chain on enumerated states.
 
-    states maps each state to its mass at t = 0, step(state) lists the
-    (next state, probability) pairs of one round and done(state) is the
-    probability that a run in that state has completed, 1 once it can no
-    longer change. Rounds go on until every state is done or, with a
-    residual, until the mass of states not done is at most residual.
+    mass is the chain's law at t = 0, moves the rows (source, target,
+    probability) of one round, in which a state that can no longer change
+    moves to itself, and done[s] the probability that a run in state s has
+    completed, 1 once s can no longer change. Rounds go on until the mass
+    of states not done is at most residual.
     """
+    source, target, prob = map(np.array, zip(*moves))
+    short = done < 1.0
     cdf = []
     while True:
-        cdf.append(math.fsum(mass * done(s) for s, mass in states.items()))
-        pending = [mass for s, mass in states.items() if done(s) < 1.0]
-        if not pending or (residual is not None
-                           and math.fsum(pending) <= residual):
+        cdf.append(math.fsum(mass * done))
+        if math.fsum(mass[short]) <= residual:
             return cdf
-        nxt: Dict[Hashable, float] = {}
-        for s, mass in states.items():
-            for s_next, prob in step(s):
-                nxt[s_next] = nxt.get(s_next, 0.0) + mass * prob
-        states = nxt
+        mass = np.bincount(target, mass[source] * prob, len(mass))
 
 
 def _law_from_cdf(cdf: Sequence[float]) -> ExactLaw:
@@ -188,31 +182,24 @@ def _law_from_cdf(cdf: Sequence[float]) -> ExactLaw:
 def exact_naive_law(N: int, p: float) -> ExactLaw:
     """Exact completion-time law of the random-push protocol.
 
-    For each active count a (node 0 is forced active, the others follow
-    Binomial(N-1, p)), a chain over the informed count k steps by the
-    one-round kernel and is done at k = a. It stops once at most
-    _NAIVE_LAW_RESIDUAL of its mass is left short of a, and counts as done
-    from its last round on.
+    One chain on (active count a, informed count k) starts each a at k = 1
+    with its weight (node 0 is forced active, the others are Binomial(N-1,
+    p)), steps k by the one-round kernel and is done at k = a. It stops once
+    at most _NAIVE_LAW_RESIDUAL of its mass is left short of its a.
     """
     N = _positive_int(N, "N")
-    if N > _NAIVE_LAW_MAX_N:
-        raise ConfigError(f"exact_naive_law supports 1 <= N <= {_NAIVE_LAW_MAX_N}")
+    if N > _LAW_MAX_N:
+        raise ConfigError(f"exact_naive_law supports 1 <= N <= {_LAW_MAX_N}")
     p = _probability(p)
-    mixture = []  # (weight, completion CDF) per active count
+    mass, done, moves = np.zeros((N + 1) ** 2), np.zeros((N + 1) ** 2), []
     for a in range(1, N + 1):
-        weight = math.comb(N - 1, a - 1) * p ** (a - 1) * (1.0 - p) ** (N - a)
-        if weight <= 0.0:
-            continue
-        rows = {}  # k -> [(k + j, P(j newly informed))], j of positive mass
+        s = a * (N + 1)  # state (a, k) sits at s + k
+        mass[s + 1] = math.comb(N - 1, a - 1) * p ** (a - 1) * (1.0 - p) ** (N - a)
+        done[s + a] = 1.0
         for k in range(1, a + 1):
             kernel = naive_step_kernel(N, k, a - k).tolist()
-            rows[k] = [(k + j, q) for j, q in enumerate(kernel) if q > 0.0]
-        mixture.append((weight, _completion_cdf(
-            {1: 1.0}, rows.__getitem__, a.__eq__, _NAIVE_LAW_RESIDUAL)))
-    horizon = max(len(cdf) for _, cdf in mixture)
-    return _law_from_cdf([
-        math.fsum(w * (cdf[t] if t < len(cdf) - 1 else 1.0) for w, cdf in mixture)
-        for t in range(horizon)])
+            moves += [(s + k, s + k + j, q) for j, q in enumerate(kernel) if q > 0.0]
+    return _law_from_cdf(_completion_cdf(mass, moves, done, _NAIVE_LAW_RESIDUAL))
 
 
 def exact_oracle_law(N: int, p: float) -> ExactLaw:
@@ -225,19 +212,19 @@ def exact_oracle_law(N: int, p: float) -> ExactLaw:
     strictly decreases every round until it is 0.
     """
     N = _positive_int(N, "N")
-    if N > _ORACLE_LAW_MAX_N:
-        raise ConfigError(f"exact_oracle_law supports 1 <= N <= {_ORACLE_LAW_MAX_N}")
+    if N > _LAW_MAX_N:
+        raise ConfigError(f"exact_oracle_law supports 1 <= N <= {_LAW_MAX_N}")
     p = _probability(p)
     q = 1.0 - p
     rows = []  # m = min(k, u) -> [(h, P(h hits))], h of positive mass
     for m in range(N):
         probs = (math.comb(m, h) * p ** h * q ** (m - h) for h in range(m + 1))
         rows.append([(h, ph) for h, ph in enumerate(probs) if ph > 0.0])
-
-    def step(state: Tuple[int, int]) -> List[Tuple[Tuple[int, int], float]]:
-        k, u = state
-        m = min(k, u)
-        return [((k + h, u - m), ph) for h, ph in rows[m]]
-
-    return _law_from_cdf(_completion_cdf({(1, N - 1): 1.0}, step,
-                                         lambda state: q ** state[1]))
+    # state (k, u) sits at k * N + u and starts at (1, N - 1); (k, 0) stays
+    moves = [(k * N + u, (k + h) * N + u - min(k, u), ph)
+             for k in range(1, N + 1) for u in range(N - k + 1)
+             for h, ph in rows[min(k, u)]]
+    mass = np.zeros((N + 1) * N)
+    mass[N + N - 1] = 1.0
+    return _law_from_cdf(_completion_cdf(
+        mass, moves, q ** (np.arange(mass.size) % N)))

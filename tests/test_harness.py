@@ -422,7 +422,8 @@ class TestLawCheck:
         (Algorithm.ORACLE, exact_oracle_law,
          [(8, ACCEPTANCE_SEED), (64, ACCEPTANCE_SEED + 64)]),
         (Algorithm.NAIVE, exact_naive_law,
-         [(2, ACCEPTANCE_SEED + 2), (8, ACCEPTANCE_SEED + 8)]),
+         [(2, ACCEPTANCE_SEED + 2), (8, ACCEPTANCE_SEED + 8),
+          (64, ACCEPTANCE_SEED + 65)]),
     ], ids=["oracle", "naive"])
     def test_reads_the_pinned_ensembles(self, algorithm, exact_law, cases):
         # each N's total variation is that of the store on its own seed

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gossipsim.core import Algorithm, ConfigError
 from gossipsim.theory import (
     ExactLaw,
+    _completion_cdf,
     _law_from_cdf,
     constant,
     cyclic_beats_naive,
@@ -202,12 +203,12 @@ class TestExactNaiveLaw:
 
     def test_size_limit(self):
         with pytest.raises(ConfigError):
-            exact_naive_law(21, 0.5)
+            exact_naive_law(65, 0.5)
 
     @pytest.mark.parametrize("N, p", [(5, 0.93), (8, 0.96), (10, 0.87),
                                       (11, 0.6)])
     def test_valid_where_the_top_atom_is_tiny(self, N, p):
-        # each top atom is smaller than the rounding error of the mixture
+        # each top atom is smaller than the rounding error of the summed CDF
         _assert_valid(exact_naive_law(N, p))
 
 
@@ -247,6 +248,34 @@ class TestExactOracleLaw:
     def test_valid_where_the_cdf_rounds_to_one_early(self, N, p):
         # P(T <= t) rounds to 1.0 while some state still has u > 0
         _assert_valid(exact_oracle_law(N, p))
+
+
+class TestPinnedLawMeans:
+    # means of an independent evaluation over dicts of states, with one
+    # naive chain per active count, each truncated on its own; the naive law
+    # truncates the summed mass instead, which moves its N = 64, p = 0.3
+    # mean by about 1e-11
+    @pytest.mark.parametrize("exact_law, N, means", [
+        (exact_naive_law, 20,
+         (15.346776100532978, 12.141106159314068, 8.88393306842144)),
+        (exact_naive_law, 64,
+         (24.509475363822016, 17.600389551040205, 12.071433441000593)),
+        (exact_oracle_law, 64,
+         (12.868232595646191, 9.518751821327863, 7.065767776766019)),
+    ], ids=["naive-20", "naive-64", "oracle-64"])
+    def test_means_at_mid_n(self, exact_law, N, means):
+        for p, mean in zip((0.3, 0.5, 0.9), means):
+            assert exact_law(N, p).mean() == pytest.approx(mean, abs=1e-10)
+
+
+class TestCompletionCdf:
+    def test_two_state_chain_is_geometric(self):
+        # state 0 stays with probability 1/2, else moves to absorbing state 1
+        moves = [(0, 0, 0.5), (0, 1, 0.5), (1, 1, 1.0)]
+        cdf = _completion_cdf(np.array([1.0, 0.0]), moves, np.array([0.0, 1.0]),
+                              residual=1e-3)
+        # 2^-10 is the first tail at most 1e-3, so the rounds stop at t = 10
+        assert cdf == [1.0 - 2.0 ** -t for t in range(11)]
 
 
 class TestExactLawType:
