@@ -15,8 +15,7 @@ Each generator is a PCG64 seeded exactly as from numpy's
 SeedSequence(entropy=seed, spawn_key=(stream_id, domain)), but without
 building one: a numpy port of SeedSequence's mixing computes the four
 state words of both domains for a block of 256 streams in one pass, and
-caches them per (seed, block), block = stream_id // 256, on top of the
-seed's share of the mixing, cached per seed. So a generator's
+caches them per (seed, block), block = stream_id // 256. So a generator's
 bit_generator.seed_seq is a words object, not a SeedSequence, and
 Generator.spawn is unsupported.
 """
@@ -112,21 +111,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> _SHIFT16
 
 
-@lru_cache(maxsize=256)
-def _seed_pool(seed: int) -> np.ndarray:
-    """The pool, a column of four words, once the entropy
-    [seed_lo, seed_hi, 0, 0] is hashed in and mixed, hashes 0 to 15."""
-    pool = _hashmix(np.array([[seed & 0xFFFFFFFF], [seed >> 32], [0], [0]],
-                             dtype=np.uint64), _HASH_A, 0, 4)
-    # word src is hashed into each other word in turn, hashes i to i + 2;
-    # those three mixes read only word src, so they run as one
-    for i, src in zip(range(4, 16, 3), range(4)):
-        dst = [w for w in range(4) if w != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, i, 3))
-    pool.flags.writeable = False
-    return pool
-
-
 # Streams are seeded a block at a time: block b holds stream_ids
 # 256 b to 256 b + 255. 2^32 is a multiple of 256, so a block's ids all
 # take one entropy word, or all take two.
@@ -142,10 +126,18 @@ def _block_states(seed: int, block: int) -> np.ndarray:
     .generate_state(4, np.uint64) for each stream_id of the block and each
     domain, shape (256, 2, 4). Read-only: the cache hands it to every
     caller."""
+    # the entropy [seed_lo, seed_hi, 0, 0] fills the pool, hashes 0 to 3;
+    # then word src is hashed into each other word in turn, hashes i to
+    # i + 2; those three mixes read only word src, so they run as one
+    pool = _hashmix(np.array([[seed & 0xFFFFFFFF], [seed >> 32], [0], [0]],
+                             dtype=np.uint64), _HASH_A, 0, 4)
+    for i, src in zip(range(4, 16, 3), range(4)):
+        dst = [w for w in range(4) if w != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, i, 3))
     ids = np.uint64(block * _BLOCK) + _LANES
     words = ((ids,) if block < 2 ** 32 // _BLOCK
              else (ids & _MASK32, ids >> _SHIFT32))
-    pool, i = _seed_pool(seed), 16
+    i = 16
     for word in words:
         pool = _mix(pool, _hashmix(word, _HASH_A, i, 4))
         i += 4
@@ -239,18 +231,15 @@ class ProtocolConfig:
     @cached_property
     def phase1_steps(self) -> int:
         """Length of the randomized warm-up, ceil((ln N + ln ln N) / ln(1+p))
-        steps; 0 for N = 1.
-
-        It is written as ceil((1 + slack) ln N / ln(1+p)) with the derived
-        slack max(0, ln ln N) / ln N. The excess over ln N / ln(1+p) is the
-        ln ln N term, so the schedule keeps the (1+o(1)) ln N / ln(1+p)
-        completion-time promise instead of fixing a constant multiple of it.
-        """
+        steps, the ln ln N term dropped where it is negative; 0 for N = 1.
+        The excess over ln N / ln(1+p) is the ln ln N term, so the schedule
+        keeps the (1+o(1)) ln N / ln(1+p) completion-time promise instead of
+        fixing a constant multiple of it."""
         if self.N <= 1:
             return 0
         ln_n = math.log(self.N)
-        slack = max(0.0, math.log(ln_n)) / ln_n
-        return math.ceil((1.0 + slack) * ln_n / math.log(1.0 + self.p))
+        return math.ceil((ln_n + max(0.0, math.log(ln_n)))
+                         / math.log1p(self.p))
 
     @cached_property
     def segment_length(self) -> int:
@@ -264,7 +253,7 @@ class ProtocolConfig:
         if self.max_steps is not None:
             return int(self.max_steps)
         return max(1, math.ceil(64.0 * math.log(self.N)
-                                / math.log(1.0 + self.p)))
+                                / math.log1p(self.p)))
 
     @cached_property
     def stage_levels(self) -> Tuple[float, float]:

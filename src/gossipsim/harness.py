@@ -181,7 +181,7 @@ class ExperimentSpec:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"spec file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipsim import core
@@ -17,6 +17,7 @@ from gossipsim.core import (
     RngStream,
     sample_active,
 )
+from gossipsim.protocols import run
 
 
 class TestRngStream:
@@ -147,6 +148,12 @@ class TestPhase1Steps:
         assert schedule(1).phase1_steps == 0
 
     @given(st.integers(2, 10 ** 7), st.floats(0.01, 1.0))
+    @example(2, 0.5)
+    @example(8, 0.5)
+    @example(64, 0.4)
+    @example(1000, 0.3)
+    @example(2 ** 16, 0.3)
+    @example(2 ** 20, 0.5)
     def test_matches_formula(self, N, p):
         # ceil((1+slack) * ln N / ln(1+p)) with slack max(0, ln ln N) / ln N
         slack = max(0.0, math.log(math.log(N))) / math.log(N)
@@ -187,6 +194,20 @@ class TestDerivedDefaults:
         assert schedule(1).step_cap == 1
         expected = math.ceil(64 * math.log(2 ** 10) / math.log(1.5))
         assert schedule(2 ** 10).step_cap == expected
+
+    @pytest.mark.parametrize("N,p", [(4096, 1e-17), (8, 1e-300)])
+    def test_tiny_p(self, N, p):
+        # 1 + p rounds to 1 below p = 2^-53, so the schedule divides by
+        # log1p(p), never by log(1 + p) = 0
+        config = schedule(N, p)
+        ln_n = math.log(N)
+        assert config.phase1_steps == math.ceil(
+            (ln_n + math.log(ln_n)) / math.log1p(p))
+        assert config.step_cap == math.ceil(64 * ln_n / math.log1p(p))
+        result = run(config, RngStream(5, 0))
+        assert result.n_active == 1
+        assert result.completion_time == 0
+        assert result.cap_hit is False
 
 
 class TestProtocolConfig:

@@ -106,9 +106,13 @@ class TestExperimentSpec:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            ExperimentSpec.from_json_file(str(path))
+        # not JSON; JSON in bytes that are not UTF-8; an integer longer
+        # than Python's int parsing takes
+        for data in (b"{not json", b'{"grid": [], "x": "\xff"}',
+                     b'{"base_seed": ' + b"1" * 5000 + b"}"):
+            path.write_bytes(data)
+            with pytest.raises(ConfigError, match="is not valid JSON"):
+                ExperimentSpec.from_json_file(str(path))
 
     def test_trajectory_forced_off_above_limit(self):
         big = GridCell(Algorithm.NAIVE, TRAJECTORY_RECORD_MAX_N * 2, 0.5)
