@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 check failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,7 +60,10 @@ def _add_oracle_law(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(handler=_cmd_oracle_law)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gossipsim parser, built at the first call and shared after it.
+    Parsing leaves it as it was, so every main call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="gossipsim",
         description="simulator and verification harness for randomized "
@@ -157,8 +161,7 @@ def _cmd_oracle_law(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -207,7 +207,9 @@ class ProtocolConfig:
     The derived constants (phase1_steps, segment_length, step_cap,
     stage_levels) are computed at a config's first read of each and kept
     in its __dict__, outside the fields, so equality, hashing and
-    dataclasses.replace see the fields alone."""
+    dataclasses.replace see the fields alone. Construction reads
+    phase1_steps, and step_cap when max_steps is None, and raises
+    ConfigError if either overflows."""
 
     algorithm: Algorithm
     N: int
@@ -227,6 +229,15 @@ class ProtocolConfig:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.max_steps is not None:
             _positive_int(self.max_steps, "max_steps")
+        # the schedule lengths divide by log1p(p); at a tiny enough p the
+        # quotient overflows a float, and a run would fail at its first read
+        try:
+            self.phase1_steps
+            if self.max_steps is None:
+                self.step_cap
+        except OverflowError:
+            raise ConfigError(f"p={self.p!r} is too small: the step "
+                              f"schedule overflows a float") from None
 
     @cached_property
     def phase1_steps(self) -> int:

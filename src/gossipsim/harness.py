@@ -20,7 +20,6 @@ import os
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +77,9 @@ _LAW_CASES = {
                                                (8, ACCEPTANCE_SEED + 8),
                                                (64, ACCEPTANCE_SEED + 65))),
 }
+# |z| bound of each row's sample-mean test: the two-sided normal critical
+# value at a false-alarm rate of 1e-6, split over the 5 rows above
+_LAW_Z = 5.1993
 
 
 @dataclass(frozen=True)
@@ -357,6 +359,9 @@ def run_experiment(spec: ExperimentSpec,
                                                map(len, cells))),
              itertools.repeat(spec.base_seed), itertools.chain(*cells))
     if workers is not None and _positive_int(workers, "workers") > 1:
+        # imported here, so a process that runs no pool never loads
+        # multiprocessing and the modules it pulls in
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_trial, *tasks, chunksize=_POOL_CHUNK))
     else:
@@ -617,19 +622,23 @@ def _excess_rate_clause(rows: Sequence[SweepRow], p: float
 def check_law(algorithm: Algorithm, trials: int = 10 ** 5,
               tolerance: float = 0.02) -> CheckResult:
     """The simulated completion law at p = 0.5 is within `tolerance` total
-    variation of the exact DP law, at each N of _LAW_CASES."""
+    variation of the exact DP law, and its sample mean within _LAW_Z
+    standard errors of the exact mean, at each N of _LAW_CASES."""
     t0 = time.perf_counter()
     exact_law, cases = _LAW_CASES[algorithm]
-    tvs = []
+    tvs, zs = [], []
     for N, seed in cases:
         T = _store(ProtocolConfig(algorithm=algorithm, N=N, p=0.5),
                    (algorithm,), seed).times(range(trials))[algorithm]
-        tvs.append(exact_law(N, 0.5).total_variation(ExactLaw.from_samples(T)))
+        law = exact_law(N, 0.5)
+        tvs.append(law.total_variation(ExactLaw.from_samples(T)))
+        zs.append((T.mean() - law.mean()) / math.sqrt(law.variance() / trials))
     return _timed(f"{algorithm.value} empirical law vs exact DP",
-                  max(tvs) <= tolerance,
-                  ", ".join(f"N={N}: TV={tv:.4f}"
-                            for (N, _), tv in zip(cases, tvs))
-                  + f" over {trials} trials (<= {tolerance})", t0)
+                  max(tvs) <= tolerance and max(map(abs, zs)) <= _LAW_Z,
+                  ", ".join(f"N={N}: TV={tv:.4f} z={z:+.2f}"
+                            for (N, _), tv, z in zip(cases, tvs, zs))
+                  + f" over {trials} trials (TV <= {tolerance}, "
+                  f"|z| <= {_LAW_Z:.2f})", t0)
 
 
 def check_active_concentration(samples: int = 10 ** 3) -> CheckResult:

@@ -96,6 +96,11 @@ class ExactLaw:
     def mean(self) -> float:
         return math.fsum(t * q for t, q in zip(self.support, self.probabilities))
 
+    def variance(self) -> float:
+        mu = self.mean()
+        return math.fsum((t - mu) ** 2 * q
+                         for t, q in zip(self.support, self.probabilities))
+
     def cdf(self) -> Tuple[float, ...]:
         out, acc = [], 0.0
         for q in self.probabilities:

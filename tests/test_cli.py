@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gossipsim
 from gossipsim import cli
 from gossipsim.core import Algorithm
 from gossipsim.harness import CheckResult, VerifyReport
@@ -63,6 +67,13 @@ class TestRunCommand:
         spec = write_spec(tmp_path)
         assert cli.main(["run", str(spec), "--workers", "2"]) == 0
 
+    def test_tiny_p_exits_2_before_any_trial(self, tmp_path, capsys):
+        spec = write_spec(tmp_path,
+                          grid=[{"algorithm": "naive", "N": 64, "p": 5e-324}])
+        assert cli.main(["run", str(spec)]) == 2
+        assert "p=5e-324 is too small" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_exits_2(self, tmp_path, capsys, workers):
         spec = write_spec(tmp_path)
@@ -98,6 +109,13 @@ class TestSweepCommand:
             cli.main(["sweep", "--algorithm", "naive", "--p", "0.5",
                       "--N", "64", "128", "--epsilon", "0.2"])
         assert exc.value.code == 2
+
+    def test_tiny_p(self, capsys):
+        argv = ["sweep", "--algorithm", "naive", "--N", "64", "256",
+                "--trials", "3", "--p"]
+        assert cli.main(argv + ["5e-324"]) == 2
+        assert "p=5e-324 is too small" in capsys.readouterr().err
+        assert cli.main(argv + ["1e-17"]) == 0
 
     def test_bad_algorithm_exits_2(self):
         code = cli.main(["sweep", "--algorithm", "gossipmonger", "--p", "0.5",
@@ -202,6 +220,39 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("between", [
+        (), (["run"], ["run", "x", "--workers", "y"], ["frobnicate"])],
+        ids=["back-to-back", "after-usage-errors"])
+    def test_repeated_runs_share_the_parser(self, tmp_path, capsys, between):
+        # a second run call, after each argv in between has failed to
+        # parse (exit 2), prints and writes the same bytes as the first
+        spec = str(write_spec(tmp_path, record_trajectory=True, format="json",
+                              output_path=str(tmp_path / "rows.json")))
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["run", spec]) == 0
+            outputs.append((capsys.readouterr().out,
+                            (tmp_path / "rows.json").read_bytes()))
+            for argv in between:
+                with pytest.raises(SystemExit) as excinfo:
+                    cli.main(argv)
+                assert excinfo.value.code == 2
+        assert outputs[0] == outputs[1]
+
+    def test_import_loads_no_process_pool(self):
+        # only run --workers K with K > 1 imports the pool
+        src = os.path.dirname(os.path.dirname(gossipsim.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import gossipsim, gossipsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
 
 
 class TestPinnedCliOutputs:

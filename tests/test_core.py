@@ -210,6 +210,22 @@ class TestDerivedDefaults:
         assert result.cap_hit is False
 
 
+    @pytest.mark.parametrize("p,max_steps", [
+        (5e-324, None), (1e-307, None), (1e-306, None), (3e-308, 5)])
+    def test_overflowing_schedule_rejected(self, p, max_steps):
+        # at N = 64, 64 ln N / log1p(p) overflows a float from p = 1e-306
+        # down, and the phase-1 length from p = 3e-308 down
+        with pytest.raises(ConfigError, match=f"p={p!r} is too small"):
+            ProtocolConfig(Algorithm.NAIVE, 64, p, max_steps=max_steps)
+
+    def test_set_cap_skips_the_formula(self):
+        config = ProtocolConfig(Algorithm.NAIVE, 64, 1e-306, max_steps=5)
+        assert config.step_cap == 5
+        ln_n = math.log(64)
+        assert config.phase1_steps == math.ceil(
+            (ln_n + math.log(ln_n)) / math.log1p(1e-306))
+
+
 class TestProtocolConfig:
     def test_defaults(self):
         cfg = ProtocolConfig(algorithm=Algorithm.NAIVE, N=2 ** 10, p=0.5)

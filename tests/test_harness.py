@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -430,19 +431,41 @@ class TestLawCheck:
           (64, ACCEPTANCE_SEED + 65)]),
     ], ids=["oracle", "naive"])
     def test_reads_the_pinned_ensembles(self, algorithm, exact_law, cases):
-        # each N's total variation is that of the store on its own seed
+        # each N's total variation and mean z-score are those of the store
+        # on its own seed
         trials = 2000
         result = harness.check_law(algorithm, trials=trials, tolerance=0.05)
-        tvs = []
+        rows = []
         for N, seed in cases:
             T = harness._store(ProtocolConfig(algorithm, N, 0.5),
                                (algorithm,), seed).times(range(trials))
-            tv = exact_law(N, 0.5).total_variation(
-                ExactLaw.from_samples(T[algorithm]))
-            tvs.append(f"N={N}: TV={tv:.4f}")
-        assert result.detail == (", ".join(tvs) + f" over {trials} trials "
-                                 f"(<= 0.05)")
+            law = exact_law(N, 0.5)
+            tv = law.total_variation(ExactLaw.from_samples(T[algorithm]))
+            z = ((T[algorithm].mean() - law.mean())
+                 / math.sqrt(law.variance() / trials))
+            rows.append(f"N={N}: TV={tv:.4f} z={z:+.2f}")
+        assert result.detail == (", ".join(rows) + f" over {trials} trials "
+                                 f"(TV <= 0.05, |z| <= 5.20)")
         assert result.name == f"{algorithm.value} empirical law vs exact DP"
+
+    def test_mean_bound_is_the_bonferroni_critical_value(self):
+        rows = sum(len(cases) for _, cases in harness._LAW_CASES.values())
+        assert rows == 5
+        assert harness._LAW_Z == pytest.approx(
+            NormalDist().inv_cdf(1 - 1e-6 / rows / 2), abs=1e-4)
+
+    def test_a_shifted_mean_fails(self, monkeypatch):
+        # every sample one step late: the TV tolerance of 1 passes it, the
+        # mean test does not
+        def late(N, p):
+            law = exact_naive_law(N, p)
+            return ExactLaw(tuple(t - 1 for t in law.support),
+                            law.probabilities)
+
+        monkeypatch.setitem(harness._LAW_CASES, Algorithm.NAIVE,
+                            (late, ((8, ACCEPTANCE_SEED + 8),)))
+        result = harness.check_law(Algorithm.NAIVE, trials=2000, tolerance=1.0)
+        assert not result.passed
 
 
 class TestVerifySuite:

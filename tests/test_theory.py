@@ -183,6 +183,8 @@ class TestExactNaiveLaw:
         d = law.as_dict()
         for t in range(1, 12):
             assert d[t] == pytest.approx(0.5 ** t, rel=1e-9)
+        # a geometric law with success 1/2 has variance (1 - 1/2) / (1/2)^2
+        assert law.variance() == pytest.approx(2.0, abs=1e-9)
 
     def test_three_nodes_fully_active_mean(self):
         # sum of two geometric stages: 3/2 + 9/5
@@ -217,8 +219,9 @@ class TestExactOracleLaw:
         assert exact_oracle_law(8, 1.0).as_dict() == {3: 1.0}
 
     def test_two_nodes(self):
-        assert exact_oracle_law(2, 0.5).as_dict() == pytest.approx(
-            {0: 0.5, 1: 0.5})
+        law = exact_oracle_law(2, 0.5)
+        assert law.as_dict() == pytest.approx({0: 0.5, 1: 0.5})
+        assert law.variance() == pytest.approx(0.25)
 
     def test_three_nodes_hand_computed(self):
         assert exact_oracle_law(3, 0.5).as_dict() == pytest.approx(
