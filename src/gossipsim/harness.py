@@ -51,7 +51,6 @@ __all__ = [
     "verify_suite",
 ]
 
-TRAJECTORY_RECORD_MAX_N = 2 ** 16
 CSV_COLUMNS = ("trial_id", "algorithm", "N", "p", "seed", "stream_id",
                "n_active", "phase1_end", "t_eps", "t_one_minus_eps",
                "T_n", "cap_hit")
@@ -87,11 +86,6 @@ class GridCell:
     algorithm: Algorithm
     N: int
     p: float
-
-    def config(self, epsilon: float, record_trajectory: bool) -> ProtocolConfig:
-        record = record_trajectory and self.N <= TRAJECTORY_RECORD_MAX_N
-        return ProtocolConfig(algorithm=self.algorithm, N=self.N, p=self.p,
-                              epsilon=epsilon, record_trajectory=record)
 
 
 # the type of each spec key besides the grid, and of each grid cell key, in
@@ -149,8 +143,8 @@ class ExperimentSpec:
                                                       "base_seed"))
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        for cell in self.grid:
-            cell.config(self.epsilon, False)  # validates each cell
+        for cell in self.grid:  # validates each cell
+            ProtocolConfig(cell.algorithm, cell.N, cell.p, self.epsilon)
         object.__setattr__(self, "grid", tuple(
             GridCell(c.algorithm, int(c.N), float(c.p)) for c in self.grid))
 
@@ -352,12 +346,14 @@ def run_experiment(spec: ExperimentSpec,
     its columns, from which the summaries and the rows are built. Nothing
     is written if any trial fails.
     """
-    configs = [cell.config(spec.epsilon, spec.record_trajectory)
+    trials = spec.trials_per_cell
+    configs = [ProtocolConfig(cell.algorithm, cell.N, cell.p, spec.epsilon,
+                              record_trajectory=spec.record_trajectory)
                for cell in spec.grid]
-    cells = _cell_streams(len(spec.grid), spec.trials_per_cell)
-    tasks = (itertools.chain.from_iterable(map(itertools.repeat, configs,
-                                               map(len, cells))),
-             itertools.repeat(spec.base_seed), itertools.chain(*cells))
+    cells = _cell_streams(len(configs), trials)
+    # row i runs stream i
+    tasks = ([config for config in configs for _ in range(trials)],
+             itertools.repeat(spec.base_seed), range(len(configs) * trials))
     if workers is not None and _positive_int(workers, "workers") > 1:
         # imported here, so a process that runs no pool never loads
         # multiprocessing and the modules it pulls in
@@ -366,13 +362,10 @@ def run_experiment(spec: ExperimentSpec,
             rows = list(pool.map(_trial, *tasks, chunksize=_POOL_CHUNK))
     else:
         rows = list(map(_trial, *tasks))
-    # row i ran stream i; zip stops at the names, so an unrecorded
-    # trajectory gets no column
-    tables = []
-    for config, streams in zip(configs, cells):
-        names = _TRIAL_FIELDS + (("trajectory",) if config.record_trajectory
-                                 else ())
-        tables.append(dict(zip(names, zip(*rows[streams.start:streams.stop]))))
+    # zip stops at the names, so an unrecorded trajectory gets no column
+    names = _TRIAL_FIELDS + (("trajectory",) if spec.record_trajectory else ())
+    tables = [dict(zip(names, zip(*rows[streams.start:streams.stop])))
+              for streams in cells]
     summary = SummaryStats(cells=tuple(
         _summarize_cell(cell, columns)
         for cell, columns in zip(spec.grid, tables)))
@@ -534,23 +527,26 @@ def check_constant(algorithm: Algorithm) -> CheckResult:
     t0 = time.perf_counter()
     T = _acceptance_store().times(range(_ACCEPT_HEAD))[algorithm]
     hi = _BAND_CEILING[algorithm]
-    ratio = float(T.mean() / math.log(_ACCEPT_N) / constant(algorithm, _ACCEPT_P))
+    ln_n, c = math.log(_ACCEPT_N), constant(algorithm, _ACCEPT_P)
+    ratio = float(T.mean() / ln_n / c)
+    se = T.std(ddof=1) / math.sqrt(len(T)) / ln_n / c
     return _timed(f"{_label(algorithm)} completion constant",
                   0.8 <= ratio <= hi,
-                  f"mean T={T.mean():.2f}, ratio={ratio:.4f}, band=[0.8, {hi}]",
-                  t0)
+                  f"mean T={T.mean():.2f}, ratio={ratio:.4f} (se {se:.4f}), "
+                  f"band=[0.8, {hi}]", t0)
 
 
 def check_beats(algorithm: Algorithm, baseline: Algorithm) -> CheckResult:
     """At least 95 of 100 coupled trials finish below the baseline's mean."""
     t0 = time.perf_counter()
     ens = _acceptance_store().times(range(_ACCEPT_HEAD))
-    base_mean = ens[baseline].mean()
+    base = ens[baseline]
+    base_mean, base_se = base.mean(), base.std(ddof=1) / math.sqrt(len(base))
     wins = int((ens[algorithm] < base_mean).sum())
     return _timed(f"{_label(algorithm)} beats {_label(baseline)} mean on "
                   f"coupled trials", wins >= 95,
                   f"wins={wins}/{_ACCEPT_HEAD} against {baseline.value} mean "
-                  f"{base_mean:.2f} (need >=95)", t0)
+                  f"{base_mean:.2f} (se {base_se:.2f}; need >=95)", t0)
 
 
 def check_lower_bound_envelope() -> CheckResult:

@@ -14,7 +14,6 @@ from gossipsim.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
     GridCell,
-    TRAJECTORY_RECORD_MAX_N,
     convergence_sweep,
     run_experiment,
     verify_suite,
@@ -115,12 +114,6 @@ class TestExperimentSpec:
             with pytest.raises(ConfigError, match="is not valid JSON"):
                 ExperimentSpec.from_json_file(str(path))
 
-    def test_trajectory_forced_off_above_limit(self):
-        big = GridCell(Algorithm.NAIVE, TRAJECTORY_RECORD_MAX_N * 2, 0.5)
-        assert not big.config(0.1, True).record_trajectory
-        small = GridCell(Algorithm.NAIVE, 1024, 0.5)
-        assert small.config(0.1, True).record_trajectory
-
 
 class TestRunExperiment:
     def test_reruns_byte_identical(self, tmp_path):
@@ -150,6 +143,27 @@ class TestRunExperiment:
             rows = json.loads(out_b.read_text())["rows"]
             assert [r["stream_id"] for r in rows] == list(range(3 * trials))
             assert all("trajectory" in r for r in rows)
+
+    def test_trajectories_at_every_n(self, tmp_path):
+        # record_trajectory holds above 2^16 too: each row's trajectory is
+        # the informed count after every step, so trajectory[phase1_end] is
+        # the informed count k at the end of phase 1
+        grid = [{"algorithm": "cyclic", "N": 2 ** 17, "p": 0.5}]
+        blobs = {}
+        for fmt, record in (("json", True), ("csv", True), ("csv", False)):
+            out = tmp_path / f"{fmt}-{record}"
+            run_experiment(ExperimentSpec.from_dict(spec_dict(
+                out, grid=grid, trials_per_cell=2, record_trajectory=record,
+                format=fmt)))
+            blobs[fmt, record] = out.read_bytes()
+        rows = json.loads(blobs["json", True])["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            trajectory = row["trajectory"]
+            assert len(trajectory) == row["T_n"] + 1
+            assert trajectory[0] == 1 and trajectory[-1] == row["n_active"]
+            assert 1 <= trajectory[row["phase1_end"]] <= row["n_active"]
+        assert blobs["csv", True] == blobs["csv", False]
 
     def test_each_block_of_streams_seeded_once(self, tmp_path):
         # 1,000 trials read streams 0-999 of one base seed: four blocks of
