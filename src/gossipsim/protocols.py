@@ -45,33 +45,57 @@ _NO_TARGETS = np.empty(0, dtype=np.int64)
 
 
 class _Targets:
-    """The push targets of one trial: the one stream gen.integers(0, N)
-    gives, fetched at least _DRAW_BATCH values at a time. The generator
-    comes from the zero-argument factory make_gen at the first draw, so a
-    trial that draws nothing builds none. Bounded-integer draws are
+    """The push targets of one trial. Below _DRAW_BATCH pushes a round
+    takes the next k values of the one stream gen.integers(0, N), fetched
+    at least _DRAW_BATCH at a time; bounded-integer draws are
     chunk-invariant, so the chunks concatenate to exactly that stream.
     Between rounds only a batch remainder, shorter than _DRAW_BATCH, is
-    kept; the values over-drawn at a trial's end are never read."""
+    kept, and the values over-drawn are never read. From _DRAW_BATCH pushes
+    on a round is thinned (see take). The generator comes from the
+    zero-argument factory make_gen at the first draw, so a trial that draws
+    nothing builds none."""
 
-    __slots__ = ("_make_gen", "_N", "_gen", "_left")
+    __slots__ = ("_make_gen", "_N", "_gen", "_left", "_pos", "_n")
 
     def __init__(self, make_gen, N: int) -> None:
         self._make_gen = make_gen
         self._N = N
         self._gen = None
         self._left = _NO_TARGETS  # the rest of the current batch
+        self._pos = None  # positions holding every pending node (thinning)
+        self._n = 0  # the active count, k + len(pos) when pos was built
 
-    def take(self, k: int):
-        """The next k >= 1 targets of the stream, as at most two non-empty
-        arrays: the rest of the current batch, then a fresh draw of
-        max(need, _DRAW_BATCH) values of which the first need are used."""
+    def take(self, k: int, pending: np.ndarray):
+        """The targets of a round of k >= 1 informed nodes on the pending
+        mask, as at most two non-empty arrays.
+
+        Below _DRAW_BATCH: the next k values of the stream, the rest of the
+        current batch then a fresh draw of max(need, _DRAW_BATCH) values of
+        which the first need are used. From _DRAW_BATCH on, only the pushes
+        that land on pos, positions kept from pending.nonzero() and rebuilt
+        once fewer than half of them, n - k, are pending: each push lands
+        there with probability m/N, independently, and then on a uniform
+        one of the m, so h ~ Binomial(k, m/N) uniform entries of pos. A
+        push landing elsewhere reaches no pending node, so the round has
+        the law of k literal pushes."""
+        if self._gen is None:
+            self._gen = self._make_gen()
+        if k >= _DRAW_BATCH:
+            if self._pos is None or 2 * (self._n - k) < len(self._pos):
+                self._pos = None  # freed before its replacement is built
+                self._pos = pending.nonzero()[0]
+                self._n = k + len(self._pos)
+            pos = self._pos
+            h = self._gen.binomial(k, len(pos) / self._N)
+            idx = self._gen.integers(0, len(pos), size=h)
+            # gathered into idx itself, which only a mode other than
+            # "raise" leaves unbuffered (every index is in range anyway)
+            return (np.take(pos, idx, out=idx, mode="clip"),)
         left = self._left
         if k <= len(left):
             self._left = left[k:]
             return (left[:k],)
         need = k - len(left)
-        if self._gen is None:
-            self._gen = self._make_gen()
         fresh = self._gen.integers(0, self._N, size=max(need, _DRAW_BATCH))
         # a view of a round-sized draw would keep it alive into the next
         # round's draw, which would then land on fresh pages
@@ -82,13 +106,11 @@ class _Targets:
 
 def step_naive(pending: np.ndarray, k: int, targets: _Targets) -> int:
     """One random-push round on the pending mask (active, not yet informed)
-    of N nodes: each of the k informed nodes targets a uniform node, the
-    next k values of the trial's one stream gen.integers(0, N), which
-    targets fetches at least _DRAW_BATCH at a time (the over-draw is never
-    read). Every target leaves pending in place, one scatter per piece of
-    the stream and no gather, as an inactive or informed target is not
-    pending anyway. Returns the count still pending."""
-    for piece in targets.take(k):
+    of N nodes: each of the k informed nodes targets a uniform node, drawn
+    by targets (thinned from _DRAW_BATCH pushes on). Every target leaves
+    pending in place, one scatter per piece, as an inactive or informed
+    target is not pending anyway. Returns the count still pending."""
+    for piece in targets.take(k, pending):
         pending[piece] = False
     return int(np.count_nonzero(pending))
 
@@ -235,13 +257,16 @@ def _phase2_offsets(informed: np.ndarray, pending: np.ndarray, ell: int,
     arrival = broadcast(o) + 1 + (seg - o - 1) % S
     np.minimum(cover, arrival, out=cover, where=size[ent] >= ell)
     late = cover > arrival
+    del o, arrival  # before _ring_keep's temporaries, which set the peak
     if not late.any():
         return au, cover
-    live = _ring_keep(size < ell, ent[late], ent[late & (cover > 2)]
+    needy = np.zeros(W, dtype=bool)  # one entry per wave, not per node
+    needy[ent[late & (cover > 2)]] = True
+    live = _ring_keep(size < ell, ent[late], needy.nonzero()[0]
                       ).nonzero()[0]  # the kept waves, in ring order
     waits = np.zeros(S, dtype=bool)  # segments holding waiting nodes
     waits[seg[late]] = True
-    del ent, o, arrival, late
+    del ent, late
     head = np.zeros(W, dtype=np.int64)  # next position each wave covers
     head[live] = (origin[live] + 1) % S * ell
     slots = len(au) + 1
@@ -385,8 +410,7 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     and draws its hypergeometric hit counts from a protocol generator of
     its own; the others share one phase 1 on another, push
     rounds on a pending mask run to the phased schedule (the cap for naive
-    alone). Their targets come from one stream, fetched at least
-    _DRAW_BATCH at a time; what is over-drawn is never read. The phase-2
+    alone), their targets drawn by one _Targets. The phase-2
     engine starts from the pending mask and the informed mask phase 1
     leaves, active ^ pending, built in the active mask's place, and naive
     then keeps stepping the pending mask. A protocol generator is built at
