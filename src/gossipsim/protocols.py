@@ -41,78 +41,88 @@ class TraceResult:
 
 
 _DRAW_BATCH = 256  # fewest push targets fetched from the generator at once
+_SPARSE = 32  # under N/32 pending, a gather of the targets then a scatter
 _NO_TARGETS = np.empty(0, dtype=np.int64)
 
 
 class _Targets:
-    """The push targets of one trial. Below _DRAW_BATCH pushes a round
-    takes the next k values of the one stream gen.integers(0, N), fetched
-    at least _DRAW_BATCH at a time; bounded-integer draws are
-    chunk-invariant, so the chunks concatenate to exactly that stream.
-    Between rounds only a batch remainder, shorter than _DRAW_BATCH, is
-    kept, and the values over-drawn are never read. From _DRAW_BATCH pushes
-    on a round is thinned (see take). The generator comes from the
+    """The push targets of one trial: the one stream gen.integers(0, N)
+    gives, fetched at least _DRAW_BATCH values at a time and computed from
+    the generator's raw words (see _draw). The generator comes from the
     zero-argument factory make_gen at the first draw, so a trial that draws
-    nothing builds none."""
+    nothing builds none. Bounded-integer draws are chunk-invariant, so the
+    chunks concatenate to exactly that stream. Between rounds only a batch
+    remainder is kept; the values over-drawn at a trial's end are never
+    read. last_count is the count step_naive last left pending."""
 
-    __slots__ = ("_make_gen", "_N", "_gen", "_left", "_pos", "_n")
+    __slots__ = ("_make_gen", "_N", "_gen", "_left", "_reject", "last_count")
 
     def __init__(self, make_gen, N: int) -> None:
         self._make_gen = make_gen
         self._N = N
         self._gen = None
         self._left = _NO_TARGETS  # the rest of the current batch
-        self._pos = None  # positions holding every pending node (thinning)
-        self._n = 0  # the active count, k + len(pos) when pos was built
+        self._reject = (1 << 32) % N  # Lemire's threshold; 0 when N = 2^b
+        self.last_count = N
 
-    def take(self, k: int, pending: np.ndarray):
-        """The targets of a round of k >= 1 informed nodes on the pending
-        mask, as at most two non-empty arrays.
+    def _draw(self, size: int) -> np.ndarray:
+        """At least size values of the stream, as numpy's integers(0, N)
+        makes them for 1 < N <= 2^32 (Lemire's method): each 32-bit half of
+        a raw word, low then high, times N; the product's high word is the
+        value, and a product whose low word is below the threshold is
+        skipped. At N = 2^b that is the half's top b bits."""
+        if not 1 < self._N <= 1 << 32:
+            return self._gen.integers(0, self._N, size=size)
+        halves = self._gen.bit_generator.random_raw((size + 1) // 2).view(
+            np.uint32)
+        if not self._reject:
+            halves >>= np.uint32(33 - self._N.bit_length())
+            return halves.astype(np.intp)
+        m = halves.astype(np.uint64)
+        m *= np.uint64(self._N)
+        m = m[(m & np.uint64(0xFFFFFFFF)) >= self._reject]
+        m >>= np.uint64(32)
+        return m.view(np.int64)
 
-        Below _DRAW_BATCH: the next k values of the stream, the rest of the
-        current batch then a fresh draw of max(need, _DRAW_BATCH) values of
-        which the first need are used. From _DRAW_BATCH on, only the pushes
-        that land on pos, positions kept from pending.nonzero() and rebuilt
-        once fewer than half of them, n - k, are pending: each push lands
-        there with probability m/N, independently, and then on a uniform
-        one of the m, so h ~ Binomial(k, m/N) uniform entries of pos. A
-        push landing elsewhere reaches no pending node, so the round has
-        the law of k literal pushes."""
-        if self._gen is None:
-            self._gen = self._make_gen()
-        if k >= _DRAW_BATCH:
-            if self._pos is None or 2 * (self._n - k) < len(self._pos):
-                self._pos = None  # freed before its replacement is built
-                self._pos = pending.nonzero()[0]
-                self._n = k + len(self._pos)
-            pos = self._pos
-            h = self._gen.binomial(k, len(pos) / self._N)
-            idx = self._gen.integers(0, len(pos), size=h)
-            # gathered into idx itself, which only a mode other than
-            # "raise" leaves unbuffered (every index is in range anyway)
-            return (np.take(pos, idx, out=idx, mode="clip"),)
+    def take(self, k: int):
+        """The next k >= 1 targets of the stream, as at most two non-empty
+        arrays: the rest of the current batch, then a fresh draw of at
+        least max(need, _DRAW_BATCH) values of which the first need are
+        used."""
         left = self._left
         if k <= len(left):
             self._left = left[k:]
             return (left[:k],)
         need = k - len(left)
-        fresh = self._gen.integers(0, self._N, size=max(need, _DRAW_BATCH))
-        # a view of a round-sized draw would keep it alive into the next
-        # round's draw, which would then land on fresh pages
-        self._left = fresh[need:] if need < _DRAW_BATCH else _NO_TARGETS
+        if self._gen is None:
+            self._gen = self._make_gen()
+        fresh = self._draw(max(need, _DRAW_BATCH))
+        while len(fresh) < need:  # skipped products, N not a power of 2
+            fresh = np.concatenate((fresh, self._draw(need - len(fresh))))
+        # copied: a view of a round-sized draw would keep it alive into the
+        # next round's draw, which would then land on fresh pages
+        self._left = fresh[need:].copy()
         fresh = fresh[:need]
         return (left, fresh) if len(left) else (fresh,)
 
 
 def step_naive(pending: np.ndarray, k: int, targets: _Targets) -> int:
     """One random-push round on the pending mask (active, not yet informed)
-    of N nodes: each of the k informed nodes targets a uniform node, drawn
-    by targets (thinned from _DRAW_BATCH pushes on). Every target leaves
-    pending in place, one scatter per piece, as an inactive or informed
-    target is not pending anyway. Returns the count still pending."""
-    for piece in targets.take(k, pending):
+    of N nodes: each of the k informed nodes targets a uniform node, the
+    next k values of the trial's one stream gen.integers(0, N), which
+    targets fetches at least _DRAW_BATCH at a time (the over-draw is never
+    read). Every target leaves pending in place, as an inactive or informed
+    target is not pending anyway: one scatter per piece of the stream, or,
+    once the last round left under 1/_SPARSE of the N nodes pending, a
+    gather that keeps the targets still pending and a scatter of those.
+    Returns the count still pending."""
+    sparse = _SPARSE * targets.last_count < len(pending)
+    for piece in targets.take(k):
+        if sparse:
+            piece = piece[np.take(pending, piece, mode="clip")]
         pending[piece] = False
-    return int(np.count_nonzero(pending))
+    targets.last_count = int(np.count_nonzero(pending))
+    return targets.last_count
 
 
 def _push(pending: np.ndarray, targets: _Targets, n: int, limit: int,
@@ -410,7 +420,8 @@ def run_coupled(config: ProtocolConfig, algorithms: Sequence[Algorithm],
     and draws its hypergeometric hit counts from a protocol generator of
     its own; the others share one phase 1 on another, push
     rounds on a pending mask run to the phased schedule (the cap for naive
-    alone), their targets drawn by one _Targets. The phase-2
+    alone). Their targets come from one stream, fetched at least
+    _DRAW_BATCH at a time; what is over-drawn is never read. The phase-2
     engine starts from the pending mask and the informed mask phase 1
     leaves, active ^ pending, built in the active mask's place, and naive
     then keeps stepping the pending mask. A protocol generator is built at

@@ -259,19 +259,17 @@ class TestPinnedCliOutputs:
     """The stdout and exit code of sweep, theory and oracle-law, each as
     JSON and as a table, pinned to sha256 digests. The digests were
     recorded on the code that mapped subcommand names to handlers in a
-    table and built sweep's JSON rows field by field; sweep's two (its
-    N = 1024 rung thins push rounds) on the code that first thinned
-    them."""
+    table and built sweep's JSON rows field by field."""
 
     SWEEP = ["sweep", "--algorithm", "cyclic", "--p", "0.4", "--N", "64",
              "1024", "--trials", "12", "--seed", "77"]
     ORACLE_LAW = ["oracle-law", "--N", "8", "--p", "0.5"]
 
     @pytest.mark.parametrize("argv,digest", [
-        (SWEEP + ["--json"], "d7b8a134ad8c4f3f11e3f9c727593bdd"
-                             "27a4641113145d3ab17e65711fa4abda"),
-        (SWEEP, "4581f04b0e70209029f246b06a2d40a6"
-                "986b13f8148150ea5413a5e53c13b00e"),
+        (SWEEP + ["--json"], "e0b230cfa705bf99300118d3623ddbb7"
+                             "5493a62a7b4c9405fcf717fdbb859fe6"),
+        (SWEEP, "1c8fd839e1ec9ce2d15ab682deeec649"
+                "a2398cac6d96b7ebc5af20c3903c3e1c"),
         (["theory", "--json"], "3300615fbbf7fa766262d732d5380332"
                                "c39a9c08f5edd3dffcccbfe2e12b57d3"),
         (["theory", "--p", "0.3", "1.0"], "6a37fd11515a6aca8b287bea5485bda4"

@@ -313,20 +313,18 @@ class TestPinnedRunOutputs:
     summary of one spec. Its first cell is cyclic at N = 2^16, p = 0.3,
     whose stream 1 on this seed hits the step cap; then every algorithm at
     N in {1, 2, 8, 1000} and p in {0.3, 1.0}, trajectories on. The digests
-    were recorded on the code that first thinned push rounds from 256
-    informed nodes on; the capped trial stalls below that, so its row did
-    not move."""
+    were recorded on the code that built one row dict per trial."""
 
     SEED = (902 << 20) | 26
     GRID = ([{"algorithm": "cyclic", "N": 2 ** 16, "p": 0.3}]
             + [{"algorithm": alg.value, "N": N, "p": p} for alg in Algorithm
                for N in (1, 2, 8, 1000) for p in (0.3, 1.0)])
-    CSV_DIGEST = ("b0d612394541bdae8c15e6c4333f38079dd4c08ad8b2e670"
-                  "d7f06f0733ea1a92")
-    JSON_DIGEST = ("02ed9439d1b34bd638a4554df6ec1cbc46da78a4f7a4968a"
-                   "0d8a9a4dfe6c5495")
-    SUMMARY_DIGEST = ("60d49ec4813418065ccb766bf9f849a97f66d5a98f97e38f"
-                      "05847664eb27cb11")
+    CSV_DIGEST = ("68cc567bfa689fbabc6bbda84b7bd85ec24fbae55f3828f4"
+                  "3b835e536fdb1a7f")
+    JSON_DIGEST = ("d1ceb8b8396a23a5286d3dd52fcb03fff65257eb9790d9b2"
+                   "6340f43637baf0e9")
+    SUMMARY_DIGEST = ("a3efe617824d355a2921f9c4d8b042f38bedec8f3a00b83f"
+                      "9053b8254f9c2654")
 
     @staticmethod
     def sha(blob: bytes) -> str:
