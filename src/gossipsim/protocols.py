@@ -41,48 +41,41 @@ class TraceResult:
 
 
 _DRAW_BATCH = 256  # fewest push targets fetched from the generator at once
-_SPARSE = 32  # under N/32 pending, a gather of the targets then a scatter
+_SPARSE = 32  # gather, then scatter, under N/32 pending (measured crossover)
 _NO_TARGETS = np.empty(0, dtype=np.int64)
 
 
 class _Targets:
     """The push targets of one trial: the one stream gen.integers(0, N)
-    gives, fetched at least _DRAW_BATCH values at a time and computed from
-    the generator's raw words (see _draw). The generator comes from the
-    zero-argument factory make_gen at the first draw, so a trial that draws
-    nothing builds none. Bounded-integer draws are chunk-invariant, so the
-    chunks concatenate to exactly that stream. Between rounds only a batch
-    remainder is kept; the values over-drawn at a trial's end are never
-    read. last_count is the count step_naive last left pending."""
+    gives, fetched at least _DRAW_BATCH values at a time (see _draw). The
+    generator comes from the zero-argument factory make_gen at the first
+    draw, so a trial that draws nothing builds none. Bounded-integer draws
+    are chunk-invariant, so the chunks concatenate to exactly that stream.
+    Between rounds only a batch remainder is kept; the values over-drawn at
+    a trial's end are never read. last_count is the count step_naive last
+    left pending."""
 
-    __slots__ = ("_make_gen", "_N", "_gen", "_left", "_reject", "last_count")
+    __slots__ = ("_make_gen", "_N", "_gen", "_left", "last_count")
 
     def __init__(self, make_gen, N: int) -> None:
         self._make_gen = make_gen
         self._N = N
         self._gen = None
         self._left = _NO_TARGETS  # the rest of the current batch
-        self._reject = (1 << 32) % N  # Lemire's threshold; 0 when N = 2^b
         self.last_count = N
 
     def _draw(self, size: int) -> np.ndarray:
-        """At least size values of the stream, as numpy's integers(0, N)
-        makes them for 1 < N <= 2^32 (Lemire's method): each 32-bit half of
-        a raw word, low then high, times N; the product's high word is the
-        value, and a product whose low word is below the threshold is
-        skipped. At N = 2^b that is the half's top b bits."""
-        if not 1 < self._N <= 1 << 32:
-            return self._gen.integers(0, self._N, size=size)
-        halves = self._gen.bit_generator.random_raw((size + 1) // 2).view(
-            np.uint32)
-        if not self._reject:
-            halves >>= np.uint32(33 - self._N.bit_length())
-            return halves.astype(np.intp)
-        m = halves.astype(np.uint64)
-        m *= np.uint64(self._N)
-        m = m[(m & np.uint64(0xFFFFFFFF)) >= self._reject]
-        m >>= np.uint64(32)
-        return m.view(np.int64)
+        """The next size or size + 1 values of the stream. At N = 2^b with
+        0 < b <= 32 numpy's integers(0, N) (Lemire's method, which rejects
+        nothing at a power of 2) is the top b bits of each 32-bit half of a
+        raw word, low half first, so they are computed from raw words."""
+        N = self._N
+        if N & (N - 1) or not 1 < N <= 1 << 32:
+            return self._gen.integers(0, N, size=size)
+        halves = self._gen.bit_generator.random_raw((size + 1) // 2)
+        halves = halves.view(np.uint32)
+        halves >>= np.uint32(33 - N.bit_length())
+        return halves.astype(np.intp)
 
     def take(self, k: int):
         """The next k >= 1 targets of the stream, as at most two non-empty
@@ -97,8 +90,6 @@ class _Targets:
         if self._gen is None:
             self._gen = self._make_gen()
         fresh = self._draw(max(need, _DRAW_BATCH))
-        while len(fresh) < need:  # skipped products, N not a power of 2
-            fresh = np.concatenate((fresh, self._draw(need - len(fresh))))
         # copied: a view of a round-sized draw would keep it alive into the
         # next round's draw, which would then land on fresh pages
         self._left = fresh[need:].copy()
@@ -267,16 +258,13 @@ def _phase2_offsets(informed: np.ndarray, pending: np.ndarray, ell: int,
     arrival = broadcast(o) + 1 + (seg - o - 1) % S
     np.minimum(cover, arrival, out=cover, where=size[ent] >= ell)
     late = cover > arrival
-    del o, arrival  # before _ring_keep's temporaries, which set the peak
     if not late.any():
         return au, cover
-    needy = np.zeros(W, dtype=bool)  # one entry per wave, not per node
-    needy[ent[late & (cover > 2)]] = True
-    live = _ring_keep(size < ell, ent[late], needy.nonzero()[0]
+    live = _ring_keep(size < ell, ent[late], ent[late & (cover > 2)]
                       ).nonzero()[0]  # the kept waves, in ring order
     waits = np.zeros(S, dtype=bool)  # segments holding waiting nodes
     waits[seg[late]] = True
-    del ent, late
+    del ent, o, arrival, late
     head = np.zeros(W, dtype=np.int64)  # next position each wave covers
     head[live] = (origin[live] + 1) % S * ell
     slots = len(au) + 1

@@ -208,9 +208,8 @@ class TestDrawChunking:
                                    3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32,
                                    2 ** 33 + 1])
     def test_targets_are_the_integers_stream(self, N):
-        # _Targets computes integers(0, N) from raw words at 1 < N <= 2^32;
-        # at 3 * 2^30 and 2^31 + 1 a quarter and a half of the products
-        # are skipped
+        # _Targets computes integers(0, N) from raw words at N = 2^b with
+        # 0 < b <= 32, and calls integers at every other N
         chunks = [1, 255, 256, 3000, 1, 7, 256, 513]
         targets = protocols._Targets(
             lambda: np.random.Generator(np.random.PCG64(1313)), N)
