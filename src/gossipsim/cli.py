@@ -1,5 +1,5 @@
-"""Command-line front end: one subcommand per _add_* function, each naming
-its _cmd_* handler; `gossipsim --help` lists them.
+"""Command-line front end: build_parser declares every subcommand, each
+naming its _cmd_* handler; `gossipsim --help` lists them.
 Exit codes: 0 success, 1 check failure, 2 invalid configuration.
 """
 from __future__ import annotations
@@ -16,15 +16,20 @@ from .core import Algorithm, ConfigError
 from . import harness, theory
 
 
-def _add_run(sub: argparse._SubParsersAction) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The gossipsim parser, built at the first call and shared after it.
+    Parsing leaves it as it was, so every main call can reuse it."""
+    parser = argparse.ArgumentParser(
+        prog="gossipsim",
+        description="simulator and verification harness for randomized "
+                    "broadcast on partially active networks")
+    sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="execute a JSON experiment spec file")
     p.add_argument("spec", help="path to the experiment spec (JSON)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: serial)")
     p.set_defaults(handler=_cmd_run)
-
-
-def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("sweep", help="normalized completion times over an N ladder")
     p.add_argument("--algorithm", required=True,
                    help="naive | cyclic | improved or improved_cyclic | oracle")
@@ -35,45 +40,20 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=harness.ACCEPTANCE_SEED)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(handler=_cmd_sweep)
-
-
-def _add_theory(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("theory", help="print the constants table over a p grid")
     p.add_argument("--p", type=float, nargs="*", default=None,
                    help="explicit p values (default: 0.05..0.95 grid)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_theory)
-
-
-def _add_verify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("verify", help="run the statistical verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.set_defaults(handler=_cmd_verify)
-
-
-def _add_oracle_law(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("oracle-law",
                        help="exact completion-time law of the coordinated oracle")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_oracle_law)
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The gossipsim parser, built at the first call and shared after it.
-    Parsing leaves it as it was, so every main call can reuse it."""
-    parser = argparse.ArgumentParser(
-        prog="gossipsim",
-        description="simulator and verification harness for randomized "
-                    "broadcast on partially active networks")
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_run(sub)
-    _add_sweep(sub)
-    _add_theory(sub)
-    _add_verify(sub)
-    _add_oracle_law(sub)
     return parser
 
 

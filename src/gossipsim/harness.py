@@ -99,6 +99,13 @@ _CELL_TYPES = {"algorithm": str, "N": int, "p": float}
 _SPEC_PARSERS = {"algorithm": Algorithm.parse, "format": str.lower}
 
 
+def _array_length(N) -> int:
+    """N as an int; ConfigError unless an array of N entries can exist."""
+    if _positive_int(N, "N") > np.iinfo(np.intp).max:
+        raise ConfigError(f"N={N} is larger than numpy can index")
+    return int(N)
+
+
 def _spec_value(data: dict, key: str, kind: type):
     """data[key] converted by kind, or parsed by its _SPEC_PARSERS entry;
     ConfigError unless it has kind's JSON type: a bool or a string as it
@@ -144,7 +151,7 @@ class ExperimentSpec:
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         for cell in self.grid:  # validates each cell
-            ProtocolConfig(cell.algorithm, cell.N, cell.p, self.epsilon)
+            ProtocolConfig(cell.algorithm, _array_length(cell.N), cell.p, self.epsilon)
         object.__setattr__(self, "grid", tuple(
             GridCell(c.algorithm, int(c.N), float(c.p)) for c in self.grid))
 
@@ -321,9 +328,11 @@ def _render_json(spec: ExperimentSpec, cells: Sequence[range],
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    # os.open at 0o666 gives the mode open() would, where mkstemp gives 0600
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".gossipsim-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gossipsim-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
@@ -401,8 +410,9 @@ def convergence_sweep(algorithms: Tuple[Algorithm, ...], p: float,
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ConfigError("N ladder must be strictly increasing")
     _positive_int(trials, "trials")
-    stores = [_store(ProtocolConfig(algorithms[0], N, p), tuple(algorithms),
-                     base_seed) for N in N_list]  # every config checked first
+    # every config checked first
+    stores = [_store(ProtocolConfig(algorithms[0], _array_length(N), p),
+                     tuple(algorithms), base_seed) for N in N_list]
     c_theory = [constant(alg, p) for alg in algorithms]
     out: Dict[Algorithm, List[SweepRow]] = {alg: [] for alg in algorithms}
     for N, store, streams in zip(N_list, stores,

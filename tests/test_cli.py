@@ -74,6 +74,13 @@ class TestRunCommand:
         assert "p=5e-324 is too small" in capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
 
+    def test_N_numpy_cannot_index_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path,
+                          grid=[{"algorithm": "naive", "N": 1e20, "p": 0.5}])
+        assert cli.main(["run", str(spec)]) == 2
+        assert "error: N=100000000000000000000 " in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_exits_2(self, tmp_path, capsys, workers):
         spec = write_spec(tmp_path)
@@ -116,6 +123,12 @@ class TestSweepCommand:
         assert cli.main(argv + ["5e-324"]) == 2
         assert "p=5e-324 is too small" in capsys.readouterr().err
         assert cli.main(argv + ["1e-17"]) == 0
+
+    def test_N_numpy_cannot_index_exits_2(self, capsys):
+        code = cli.main(["sweep", "--algorithm", "naive", "--p", "0.5",
+                         "--N", "64", str(10 ** 20)])
+        assert code == 2
+        assert "error: N=100000000000000000000 " in capsys.readouterr().err
 
     def test_bad_algorithm_exits_2(self):
         code = cli.main(["sweep", "--algorithm", "gossipmonger", "--p", "0.5",
@@ -278,7 +291,8 @@ class TestPinnedCliOutputs:
                                   "ef1377c29c81e1418d7831dd38ca4951"),
         (ORACLE_LAW, "2c1f9a7dc6e7e4708d56587494d074f6"
                      "c5e006972c2cef83979442f22cbded11"),
-    ])
+    ], ids=["sweep-json", "sweep-table", "theory-json", "theory-table",
+            "oracle-law-json", "oracle-law-table"])
     def test_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0
         out = capsys.readouterr().out

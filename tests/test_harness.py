@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import stat
 from statistics import NormalDist
 
 import numpy as np
@@ -47,6 +49,16 @@ class TestExperimentSpec:
         one = ExperimentSpec.from_dict(spec_dict(
             tmp_path / "out.csv", grid=[{"algorithm": "naive", "N": 8, "p": 1}]))
         assert one.grid[0].p == 1.0 and isinstance(one.grid[0].p, float)
+
+    def test_N_numpy_cannot_index_rejected(self, tmp_path):
+        # a schedule is defined at any N, but no array of N = 2^63 entries
+        # exists, so the spec names N before any trial tries to make one
+        grid = [{"algorithm": "naive", "N": 2 ** 63, "p": 0.5}]
+        with pytest.raises(ConfigError, match=f"N={2 ** 63} "):
+            ExperimentSpec.from_dict(spec_dict(tmp_path / "a", grid=grid))
+        grid[0]["N"] = 2 ** 63 - 1
+        spec = ExperimentSpec.from_dict(spec_dict(tmp_path / "a", grid=grid))
+        assert spec.grid[0].N == 2 ** 63 - 1
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.update(extra_key=1),
@@ -261,6 +273,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec.from_dict(data))
 
+    def test_output_mode_is_what_open_gives(self, tmp_path):
+        # the written file gets 0666 less the umask, as open() would give,
+        # not mkstemp's 0600, and no temp file is left beside it
+        out = tmp_path / "rows.csv"
+        run_experiment(ExperimentSpec.from_dict(spec_dict(out)))
+        plain = tmp_path / "plain"
+        open(plain, "wb").close()
+        assert (stat.S_IMODE(out.stat().st_mode)
+                == stat.S_IMODE(plain.stat().st_mode))
+        assert sorted(os.listdir(tmp_path)) == ["plain", "rows.csv"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_numpy_values_write_the_plain_bytes(self, tmp_path, fmt):
         # a spec built in Python may hold numpy numbers; they are kept as
@@ -375,6 +398,15 @@ class TestConvergenceSweep:
         with pytest.raises(ConfigError, match="repeated algorithm"):
             convergence_sweep((Algorithm.NAIVE, Algorithm.CYCLIC,
                                Algorithm.NAIVE), 0.5, [8, 16], trials=3)
+
+    def test_N_numpy_cannot_index_rejected_before_any_trial(self,
+                                                           monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_coupled", no_trial)
+        with pytest.raises(ConfigError, match=f"N={2 ** 63} "):
+            convergence_sweep((Algorithm.NAIVE,), 0.5, [64, 2 ** 63], trials=2)
 
     def test_oracle_full_activity_is_exact(self):
         rows = convergence_sweep((Algorithm.ORACLE,), 1.0, [2 ** 10, 2 ** 12],
